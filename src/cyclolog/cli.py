@@ -24,7 +24,7 @@ from .errors import (
     NotPrincipalUnit,
     ValuationTooSmall,
 )
-from .ring import Context, PiElement, format_digits, parse_digits, _is_prime
+from .ring import Context, PiElement, format_digits, parse_digits
 from .series import pexp, plog
 from .preimage import preimage, preimage_all, roots_of_unity
 from .verify import DEFAULT_CAP, run_all
@@ -151,12 +151,6 @@ def _cmd_table(args, ctx: Context) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not _is_prime(args.p) or args.p < 3:
-        print(f"error: --p must be an odd prime >= 3, got {args.p}", file=sys.stderr)
-        return 2
-    if args.prec < 4:
-        print(f"error: --prec must be >= 4, got {args.prec}", file=sys.stderr)
-        return 2
     try:
         ctx = Context(args.p, args.prec)
     except ValueError as exc:

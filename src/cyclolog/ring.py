@@ -289,14 +289,20 @@ class PiElement:
         """Exact division by pi^k as a digit shift.
 
         The top k digits of the result are unknown at this precision and are
-        filled with zeros; the reliable precision drops to N - k.  Series code
-        compensates by lifting to a larger working precision first.
+        filled with zeros; the reliable precision drops to N - k.
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
         if self.valuation() < k:
             raise NotDivisible(f"valuation {self.valuation()} < {k}")
         return PiElement._make(self.digits[k:] + (0,) * k, self.ctx)
+
+    def mul_pi_power(self, k: int) -> PiElement:
+        """Exact multiplication by pi^k as an upward digit shift; digits pushed past pi^N drop."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        k = min(k, self.ctx.precision)
+        return PiElement._make((0,) * k + self.digits[: self.ctx.precision - k], self.ctx)
 
     def div_p(self) -> PiElement:
         """Exact division by p, i.e. shift down by p - 1 digits and negate."""

@@ -1,10 +1,10 @@
-"""Truncated p-adic logarithm and exponential with a certified cutoff.
+"""Truncated p-adic logarithm and exponential, summed at the target precision.
 
-Both series are evaluated at a lifted working precision.  Dividing by p is an
-exact shift of p - 1 digits, but the top p - 1 digits of the quotient are
-unknown at fixed precision; the lift is sized so that after every division the
-digits below the target precision are still exact.  Carries only move upward,
-so the unknown high digits never contaminate the reported ones.
+With x = pi^v * w and p = -pi^(p-1), a series term whose denominator holds
+p^k is +-c * pi^s * w^n with c a p-adic unit and s = n*v - (p-1)*k >= v:
+an upward shift, so no digit is forgotten and no working-precision lift is
+needed.  The top v digits of w are unknown, but pi^s * w^n mod pi^N needs
+w^n only mod pi^(N-s).  Terms with s >= N are multiples of pi^N and skipped.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ def _split_p(n: int, p: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SeriesBudget:
-    """Precision bookkeeping for the logarithm series.
+    """Tail certificate for the logarithm series.
 
     p_power_cap is the least L with p**L > target_prec + (p-1)*L; cutoff and
     working_prec both equal target_prec + (p-1)*L.  Every dropped term x^n/n
-    with n > cutoff then has pi-valuation at least target_prec, and the lift
-    of p_power_cap blocks of p-1 digits absorbs everything the divisions by
-    p**k (k <= p_power_cap) forget.
+    with n > cutoff then has pi-valuation at least target_prec.  plog does
+    not sum at working_prec; it is the pad length of lift-independence checks.
     """
 
     target_prec: int
@@ -85,64 +84,65 @@ def _integer_inverse(m: int, ctx: Context) -> int:
     return pow(m, -1, ctx.p ** M)
 
 
-def plog(u: PiElement) -> PiElement:
-    """p-adic logarithm of a principal unit, canonical mod pi^N.
+def _shift_sum(acc: PiElement, w: PiElement, terms: list[tuple[int, int, int]]) -> PiElement:
+    """acc + sum(c * pi^s * w^n for n, s, c in terms), with terms sorted by n.
 
-    Sums x - x^2/2 + x^3/3 - ... with x = u - 1 at the budget's working
-    precision, then truncates.  Division by n = p**k * m is k exact shifts
-    (each contributing a sign) times the inverse of m.  Digits 0 and 1 of the
-    result are zero for every principal unit.
+    w^n costs one multiplication per step of 1 in n and one power per gap.
+    """
+    power, done = w, 1
+    for n, s, c in terms:
+        if n > done:
+            power = power * (w if n == done + 1 else w ** (n - done))
+            done = n
+        acc = acc + (power * c).mul_pi_power(s)
+    return acc
+
+
+def plog(u: PiElement) -> PiElement:
+    """p-adic logarithm of a principal unit, canonical mod pi^N; digits 0 and 1 are zero.
+
+    With x = u - 1 and n = p**k * m, x^n/n has c = (-1)^(n+1+k)/m and
+    s = n*v - (p-1)*k.  The least s of each k, p**k * v - (p-1)*k, is
+    nondecreasing in k, so the k loop stops where it reaches N.
     """
     if u.digits[0] != 1:
         raise NotPrincipalUnit(f"digit 0 is {u.digits[0]}, expected 1")
     ctx = u.ctx
-    p = ctx.p
-    budget = SeriesBudget.for_target(p, ctx.precision)
-    x = u.resize(budget.working_prec) - 1
-    work = x.ctx
-    acc = work.zero()
-    x_pow = x
-    for n in range(1, budget.cutoff + 1):
-        k, m = _split_p(n, p)
-        term = x_pow.div_pi_power(k * (p - 1)) if k else x_pow
-        c = _integer_inverse(m, work) if m > 1 else 1
-        # sign: (-1)^(n+1) from the series times (-1)^k from the shifts
-        acc = acc + term * (c if (n + 1 + k) % 2 == 0 else -c)
-        if n < budget.cutoff:
-            x_pow = x_pow * x
-    return acc.resize(ctx.precision)
+    p, N = ctx.p, ctx.precision
+    x = u - 1
+    v = x.valuation()
+    terms = []
+    k = 0
+    while p**k * v - (p - 1) * k < N:
+        for m in range(1, (N - 1 + (p - 1) * k) // (p**k * v) + 1):
+            if m % p:
+                n = p**k * m
+                c = (-1) ** (n + 1 + k) * _integer_inverse(m, ctx)
+                terms.append((n, n * v - (p - 1) * k, c))
+        k += 1
+    return _shift_sum(ctx.zero(), x.div_pi_power(v), sorted(terms))
 
 
 def pexp(x: PiElement) -> PrincipalUnit:
     """p-adic exponential sum(x^n / n!), defined for valuation(x) >= 2.
 
-    With w >= 2 every term x^n/n! has pi-valuation at least n + 1, so cutting
-    off at n = N suffices; the working precision 2N over-allocates for the
-    digits forgotten by the v_p(n!) = (n - s_p(n))/(p-1) divisions by p.
+    With n! = p**k * m, x^n/n! has c = (-1)^k/m and s = n*v - (p-1)*k, which
+    Legendre's formula makes n*(v-1) + s_p(n) > n, so only n < N contribute.
     """
-    if x.valuation() < 2:
-        raise ValuationTooSmall(
-            f"valuation {x.valuation()} < 2, outside the convergence domain"
-        )
+    v = x.valuation()
+    if v < 2:
+        raise ValuationTooSmall(f"valuation {v} < 2, outside the convergence domain")
     ctx = x.ctx
-    p, target = ctx.p, ctx.precision
-    work_prec = 2 * target
-    xw = x.resize(work_prec)
-    work = xw.ctx
-    acc = work.one()
-    x_pow = work.one()
-    fact_shift = 0  # v_p(n!)
-    fact_unit = 1  # unit part of n! mod p**M
-    unit_mod = p ** (-(-work_prec // (p - 1)))
-    for n in range(1, target + 1):
-        x_pow = x_pow * xw
-        k, m = _split_p(n, p)
-        fact_shift += k
-        fact_unit = (fact_unit * m) % unit_mod
-        term = x_pow.div_pi_power(fact_shift * (p - 1)) if fact_shift else x_pow
-        c = pow(fact_unit, -1, unit_mod) if fact_unit > 1 else 1
-        acc = acc + term * (c if fact_shift % 2 == 0 else -c)
-    return PrincipalUnit.from_element(acc.resize(target))
+    p, N = ctx.p, ctx.precision
+    terms = []
+    k, m = 0, 1
+    for n in range(1, N):
+        dk, dm = _split_p(n, p)
+        k, m = k + dk, m * dm
+        s = n * v - (p - 1) * k
+        if s < N:
+            terms.append((n, s, (-1) ** k * _integer_inverse(m, ctx)))
+    return PrincipalUnit.from_element(_shift_sum(ctx.one(), x.div_pi_power(v), terms))
 
 
 def log_digit_formula(a1: int, a2: int, ctx: Context) -> int:

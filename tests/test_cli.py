@@ -157,9 +157,10 @@ class TestVerifyCommand:
         assert "all checks passed" in out
 
     def test_not_prime_exits_2(self, capsys):
-        code, _, err = run_cli(["verify", "--p", "4", "--prec", "6"], capsys)
-        assert code == 2
-        assert "prime" in err
+        for p in ("4", "2", "1"):
+            code, _, err = run_cli(["verify", "--p", p, "--prec", "6"], capsys)
+            assert code == 2, p
+            assert "prime" in err
 
     def test_json_output_schema(self, capsys):
         code, out, _ = run_cli(
@@ -224,5 +225,10 @@ class TestEntryPoint:
         assert proc.stdout.splitlines()[0] == "0,0,2,2,1"
 
     def test_bad_precision_exits_2(self, capsys):
-        code, _, _ = run_cli(["roots", "--p", "5", "--prec", "3"], capsys)
-        assert code == 2
+        for argv in (
+            ["roots", "--p", "5", "--prec", "3"],
+            ["verify", "--p", "3", "--prec", "3"],
+            ["log", "--p", "5", "--prec", "-1", "--unit", "1"],
+        ):
+            code, _, _ = run_cli(argv, capsys)
+            assert code == 2, argv

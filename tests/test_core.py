@@ -256,6 +256,17 @@ class TestDivision:
             a = random_element(rng, ctx)
             assert (a * 3).div_p().digits[:reliable] == a.digits[:reliable]
 
+    @pytest.mark.parametrize("p,n", [(3, 8), (11, 5)])
+    def test_mul_pi_power_matches_ring_product(self, p, n):
+        ctx = Context(p, n)
+        rng = random.Random(37)
+        for _ in range(20):
+            a = random_element(rng, ctx)
+            for k in range(n + 2):
+                assert a.mul_pi_power(k) == a * ctx.uniformizer() ** k
+        with pytest.raises(ValueError):
+            ctx.one().mul_pi_power(-1)
+
 
 class TestPow:
     def test_zeroth_power(self):

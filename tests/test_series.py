@@ -85,7 +85,7 @@ class TestPlog:
         with pytest.raises(NotPrincipalUnit):
             plog(normalize([2, 0, 0, 0, 0], ctx))
 
-    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
+    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5), (11, 8), (13, 6)])
     def test_image_lands_in_m_squared(self, p, n):
         ctx = Context(p, n)
         rng = random.Random(43)
@@ -103,7 +103,7 @@ class TestPlog:
                 u = PiElement((1, a1, a2) + tail, ctx)
                 assert plog(u).digits[2] == log_digit_formula(a1, a2, ctx)
 
-    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
+    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5), (11, 8), (13, 6)])
     def test_homomorphism(self, p, n):
         ctx = Context(p, n)
         rng = random.Random(53)
@@ -112,7 +112,7 @@ class TestPlog:
             v = random_principal_unit(rng, ctx)
             assert plog(u * v) == plog(u) + plog(v)
 
-    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
+    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5), (11, 8), (13, 6)])
     def test_lift_independence(self, p, n):
         ctx = Context(p, n)
         budget = SeriesBudget.for_target(p, n)
@@ -124,7 +124,7 @@ class TestPlog:
             lifted = PiElement(u.digits + pad, work)
             assert plog(lifted).resize(n) == plog(u)
 
-    @pytest.mark.parametrize("p,n", [(3, 6), (5, 5)])
+    @pytest.mark.parametrize("p,n", [(3, 6), (5, 5), (11, 8), (13, 6)])
     def test_matches_naive_oracle_on_random_units(self, p, n):
         ctx = Context(p, n)
         rng = random.Random(61)
@@ -144,6 +144,15 @@ class TestPlog:
                 assert plog(u) == naive_plog(u)
                 count += 1
         assert count == 2 * 3 ** 4
+
+    @pytest.mark.parametrize("p,n", [(11, 8), (13, 6), (17, 6)])
+    def test_matches_poly_oracle_when_p_exceeds_n(self, p, n):
+        # p > N makes p = 0 mod pi^N, yet for v = 1 the term n = p has shift 1 and is kept
+        ctx = Context(p, n)
+        rng = random.Random(73)
+        for _ in range(5):
+            u = random_principal_unit(rng, ctx)
+            assert plog(u).digits == poly_log_digits(u.digits, p, n)
 
 
 class TestPexp:
@@ -170,6 +179,36 @@ class TestPexp:
         ctx = Context(p, n)
         rng = random.Random(71)
         for _ in range(50):
+            x = random_target(rng, ctx)
+            assert plog(pexp(x)) == x
+
+
+class TestEdgeValuations:
+    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5), (11, 8), (13, 6)])
+    def test_zero_and_top_digit(self, p, n):
+        # x = c*pi^(N-1) has x^2 = 0 mod pi^N, so log(1 + x) = x and exp(x) = 1 + x
+        ctx = Context(p, n)
+        assert plog(ctx.one()) == ctx.zero()
+        assert pexp(ctx.zero()) == ctx.one()
+        for c in range(1, p):
+            x = normalize([0] * (n - 1) + [c], ctx)
+            assert pexp(x) == x + 1
+            assert plog(x + 1) == x
+
+
+class TestLargePrime:
+    # p > N up to the 2**20 cap: the series keeps only the terms n < N/v, plus
+    # n = p when v = 1, so a call costs a few multiplications and one power
+    @pytest.mark.parametrize("p,n", [(1009, 6), (1048573, 6), (1048573, 16)])
+    def test_roundtrips_and_homomorphism(self, p, n):
+        ctx = Context(p, n)
+        rng = random.Random(79)
+        for _ in range(5):
+            u = random_principal_unit(rng, ctx, annulus=True)
+            v = random_principal_unit(rng, ctx, annulus=True)
+            assert plog(u * v) == plog(u) + plog(v)
+            square_unit = random_target(rng, ctx) + 1
+            assert pexp(plog(square_unit)) == square_unit
             x = random_target(rng, ctx)
             assert plog(pexp(x)) == x
 

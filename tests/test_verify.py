@@ -16,7 +16,7 @@ from cyclolog import (
 class TestAnnulusImage:
     @pytest.mark.parametrize(
         "p,n,units,images,fiber",
-        [(3, 5, 54, 27, 2), (5, 4, 100, 25, 4), (7, 4, 294, 49, 6)],
+        [(3, 5, 54, 27, 2), (5, 4, 100, 25, 4), (7, 4, 294, 49, 6), (11, 5, 13310, 1331, 10)],
     )
     def test_counts(self, p, n, units, images, fiber):
         result = check_annulus_image(Context(p, n))
@@ -38,7 +38,7 @@ class TestAnnulusImage:
 
 
 class TestSquareIso:
-    @pytest.mark.parametrize("p,n,count", [(3, 5, 27), (5, 4, 25), (7, 4, 49)])
+    @pytest.mark.parametrize("p,n,count", [(3, 5, 27), (5, 4, 25), (7, 4, 49), (11, 5, 1331)])
     def test_bijection_counts(self, p, n, count):
         result = check_square_iso(Context(p, n))
         assert result.passed
