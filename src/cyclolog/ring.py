@@ -57,10 +57,12 @@ class Context:
     precision: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p) or self.p < 3:
+        if not isinstance(self.p, int) or self.p < 3:
             raise ValueError(f"p must be an odd prime >= 3, got {self.p!r}")
         if self.p > P_CAP:
             raise ValueError(f"p must be at most 2**20, got {self.p}")
+        if not _is_prime(self.p):  # only after the cap, which bounds its trial division
+            raise ValueError(f"p must be an odd prime >= 3, got {self.p!r}")
         if not isinstance(self.precision, int) or self.precision < 4:
             raise ValueError(f"precision must be an integer >= 4, got {self.precision!r}")
         if self.precision > PRECISION_CAP:

@@ -1,21 +1,25 @@
 """Exhaustive finite-precision verification of the logarithm's image structure,
 with machine-readable reports.
 
-Every check enumerates honestly (no sampling below the cap) and reports exact
-counts; failures carry digit-string witnesses.  run_all adds seeded random
-property suites for the series and preimage modules and never crashes on a
-cap violation, recording a skipped-check marker instead.
+run_all enumerates the annulus units and the units of 1 + m_K^2 once each, on
+first use within the cap, into tables from log digits to units that every
+exhaustive check reads.  The image is certified to be the group m_K^2 by its
+generators: it holds 0 and is closed under adding each pi^j, 2 <= j < N.
+Counts are exact and failures carry digit-string witnesses.  run_all adds
+seeded random property suites for the series and preimage modules and records
+a skipped-check marker instead of raising on a cap violation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded
-from .ring import Context, PiElement, format_digits, _normalize_digits
+from .ring import Context, PiElement, format_digits
 from .series import SeriesBudget, log_digit_formula, pexp, plog
 from .preimage import digit2_for_branch, preimage_all, qr_pair_enumeration, roots_of_unity
 
@@ -60,126 +64,138 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _annulus_units(ctx: Context):
-    p, n = ctx.p, ctx.precision
-    for a1 in range(1, p):
-        for tail in itertools.product(range(p), repeat=n - 2):
-            yield PiElement._make((1, a1) + tail, ctx)
+def _log_table(ctx: Context, leads) -> dict[tuple[int, ...], list[PiElement]]:
+    """{plog digits: [units]} over the units 1 + a1*pi + ... with a1 in `leads`,
+    in enumeration order, which is increasing digit order."""
+    table: dict[tuple[int, ...], list[PiElement]] = {}
+    for a1 in leads:
+        for tail in itertools.product(range(ctx.p), repeat=ctx.precision - 2):
+            u = PiElement._make((1, a1) + tail, ctx)
+            table.setdefault(plog(u).digits, []).append(u)
+    return table
 
 
-def _square_units(ctx: Context):
-    p, n = ctx.p, ctx.precision
-    for tail in itertools.product(range(p), repeat=n - 2):
-        yield PiElement._make((1, 0) + tail, ctx)
+@dataclass
+class _Tables:
+    """The exhaustive plog tables of one context, each built on first use."""
+
+    ctx: Context
+
+    @functools.cached_property
+    def annulus(self) -> dict[tuple[int, ...], list[PiElement]]:
+        return _log_table(self.ctx, range(1, self.ctx.p))
+
+    @functools.cached_property
+    def squares(self) -> dict[tuple[int, ...], list[PiElement]]:
+        return _log_table(self.ctx, (0,))
 
 
-def _m_squared_digits(ctx: Context):
-    p, n = ctx.p, ctx.precision
-    for tail in itertools.product(range(p), repeat=n - 2):
-        yield (0, 0) + tail
+def _require(total: int, cap: int) -> None:
+    if total > cap:
+        raise CapExceeded(total, cap)
+
+
+def _witnesses(digit_tuples) -> list[str]:
+    return [",".join(map(str, d)) for d in sorted(digit_tuples)[:_MAX_WITNESSES]]
+
+
+def _closure_misses(ctx: Context, members) -> list[tuple[int, ...]]:
+    """The generator certificate's misses: zero if it is not a member, and each
+    s + pi^j (s a member, 2 <= j < N) that is not.  The pi^j generate m_K^2,
+    so no miss means the digit vectors in `members` form a union of cosets of
+    m_K^2 that contains m_K^2."""
+    misses = [] if ctx.zero().digits in members else [ctx.zero().digits]
+    generators = [ctx.uniformizer().mul_pi_power(j - 1) for j in range(2, ctx.precision)]
+    for s in members:
+        x = PiElement._make(s, ctx)
+        for g in generators:
+            d = (x + g).digits
+            if d not in members:
+                misses.append(d)
+    return misses
 
 
 def check_annulus_image(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
     """Logs of all units with nonzero digit 1 cover m_K^2 exactly, in fibers of p-1."""
+    return _check_annulus_image(ctx, cap, _Tables(ctx))
+
+
+def _check_annulus_image(ctx: Context, cap: int, tables: _Tables) -> CheckResult:
     p, n = ctx.p, ctx.precision
     total = (p - 1) * p ** (n - 2)
-    if total > cap:
-        raise CapExceeded(total, cap)
-    fibers: dict[tuple[int, ...], int] = {}
-    witnesses: list[str] = []
-    outside = 0
-    for u in _annulus_units(ctx):
-        lg = plog(u)
-        if lg.digits[0] or lg.digits[1]:
-            outside += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append(format_digits(u))
-        fibers[lg.digits] = fibers.get(lg.digits, 0) + 1
+    _require(total, cap)
+    fibers = tables.annulus
+    outside = [u.digits for lg, units in fibers.items() if lg[0] or lg[1] for u in units]
     expected = p ** (n - 2)
-    sizes = fibers.values()
+    sizes = [len(units) for units in fibers.values()]
     min_fiber, max_fiber = min(sizes), max(sizes)
-    passed = outside == 0 and len(fibers) == expected and min_fiber == max_fiber == p - 1
+    passed = not outside and len(fibers) == expected and min_fiber == max_fiber == p - 1
+    witnesses = _witnesses(outside)
     if not passed and not witnesses:
-        bad_fibers = (k for k, s in fibers.items() if s != p - 1)
-        witnesses.extend(
-            ",".join(str(d) for d in key)
-            for key in itertools.islice(bad_fibers, _MAX_WITNESSES)
-        )
+        witnesses = _witnesses(lg for lg, units in fibers.items() if len(units) != p - 1)
     counts = {
         "units": total,
         "images": len(fibers),
         "expected_images": expected,
         "min_fiber": min_fiber,
         "max_fiber": max_fiber,
-        "outside_m_squared": outside,
+        "outside_m_squared": len(outside),
     }
     return CheckResult("annulus_image", passed, counts, witnesses)
 
 
 def check_square_iso(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
     """plog restricted to 1 + m_K^2 is a bijection onto m_K^2 inverted by pexp."""
-    p, n = ctx.p, ctx.precision
-    total = p ** (n - 2)
-    if total > cap:
-        raise CapExceeded(total, cap)
-    images = set()
-    witnesses: list[str] = []
-    roundtrip_failures = 0
-    outside = 0
-    for u in _square_units(ctx):
-        lg = plog(u)
-        if lg.digits[0] or lg.digits[1]:
-            outside += 1
-        images.add(lg.digits)
-        if pexp(lg) != u:
-            roundtrip_failures += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append(format_digits(u))
-    passed = outside == 0 and roundtrip_failures == 0 and len(images) == total
+    return _check_square_iso(ctx, cap, _Tables(ctx))
+
+
+def _check_square_iso(ctx: Context, cap: int, tables: _Tables) -> CheckResult:
+    total = ctx.p ** (ctx.precision - 2)
+    _require(total, cap)
+    images = tables.squares
+    outside = sum(len(units) for lg, units in images.items() if lg[0] or lg[1])
+    unrecovered = []
+    for lg, units in images.items():
+        back = pexp(PiElement._make(lg, ctx))
+        unrecovered += (u.digits for u in units if u != back)
+    passed = outside == 0 and not unrecovered and len(images) == total
     counts = {
         "units": total,
         "images": len(images),
         "expected_images": total,
-        "roundtrip_failures": roundtrip_failures,
+        "roundtrip_failures": len(unrecovered),
         "outside_m_squared": outside,
     }
-    return CheckResult("square_isomorphism", passed, counts, witnesses)
+    return CheckResult("square_isomorphism", passed, counts, _witnesses(unrecovered))
 
 
 def check_full_image_and_index(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
     """log(1 + m_K) fills m_K^2, which sits at index exactly p inside m_K."""
+    return _check_full_image_and_index(ctx, cap, _Tables(ctx))
+
+
+def _check_full_image_and_index(ctx: Context, cap: int, tables: _Tables) -> CheckResult:
     p, n = ctx.p, ctx.precision
     annulus_total = (p - 1) * p ** (n - 2)
     square_total = p ** (n - 2)
-    if annulus_total + square_total > cap:
-        raise CapExceeded(annulus_total + square_total, cap)
-    union = {plog(u).digits for u in _annulus_units(ctx)}
-    union |= {plog(u).digits for u in _square_units(ctx)}
-    m2 = set(_m_squared_digits(ctx))
-    witnesses = [
-        ",".join(str(d) for d in t) for t in itertools.islice(union ^ m2, _MAX_WITNESSES)
-    ]
-    image_is_m2 = union == m2
+    _require(annulus_total + square_total, cap)
+    union = tables.annulus.keys() | tables.squares.keys()
+    outside = [lg for lg in union if lg[0] or lg[1]]
+    # m_K^2 is the p^(n-2) digit vectors that start with two zeros
+    image_is_m2 = not outside and len(union) == square_total
     index = p ** (n - 1) // len(union)
-    closure_failures = 0
-    members = sorted(union)
-    for a, b in itertools.combinations_with_replacement(members, 2):
-        s = _normalize_digits([x + y for x, y in zip(a, b)], p, n)
-        if s not in union:
-            closure_failures += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append(",".join(str(d) for d in s))
-    passed = image_is_m2 and index == p and closure_failures == 0
+    misses = _closure_misses(ctx, union)
+    passed = image_is_m2 and index == p and not misses
     counts = {
         "annulus_units": annulus_total,
         "square_units": square_total,
         "union_images": len(union),
-        "m_squared_size": len(m2),
+        "m_squared_size": square_total,
         "maximal_ideal_size": p ** (n - 1),
         "index": index,
-        "closure_failures": closure_failures,
+        "closure_failures": len(misses),
     }
-    return CheckResult("full_image_and_index", passed, counts, witnesses if not passed else [])
+    return CheckResult("full_image_and_index", passed, counts, _witnesses(outside + misses))
 
 
 def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
@@ -287,20 +303,14 @@ def _check_preimage_soundness(ctx: Context, rng: random.Random, samples: int = 2
 
 
 def _check_preimage_in_fiber(
-    ctx: Context, rng: random.Random, cap: int, samples: int = 30
+    ctx: Context, rng: random.Random, cap: int, tables: _Tables, samples: int = 30
 ) -> CheckResult:
-    p, n = ctx.p, ctx.precision
-    total = (p - 1) * p ** (n - 2)
-    if total > cap:
-        raise CapExceeded(total, cap)
-    fibers: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for u in _annulus_units(ctx):
-        fibers.setdefault(plog(u).digits, set()).add(u.digits)
+    _require((ctx.p - 1) * ctx.p ** (ctx.precision - 2), cap)
     failures, witnesses = 0, []
     for _ in range(samples):
         y = _random_target(rng, ctx)
         constructed = {u.digits for u in preimage_all(y)}
-        if constructed != fibers.get(y.digits, set()):
+        if constructed != {u.digits for u in tables.annulus.get(y.digits, ())}:
             failures += 1
             if len(witnesses) < _MAX_WITNESSES:
                 witnesses.append(format_digits(y))
@@ -364,35 +374,22 @@ def run_all(ctx: Context, seed: int = 0, cap: int = DEFAULT_CAP) -> Verification
     as a skipped marker rather than raised."""
     rng = random.Random(seed)
     report = VerificationReport(ctx.p, ctx.precision)
-    jobs = [
-        lambda: check_annulus_image(ctx, cap),
-        lambda: check_square_iso(ctx, cap),
-        lambda: check_full_image_and_index(ctx, cap),
-        lambda: check_residue_field(ctx, cap),
-        lambda: _check_exp_log_roundtrip(ctx, rng),
-        lambda: _check_log_homomorphism(ctx, rng),
-        lambda: _check_digit2_formula(ctx, rng),
-        lambda: _check_lift_independence(ctx, rng),
-        lambda: _check_preimage_soundness(ctx, rng),
-        lambda: _check_preimage_in_fiber(ctx, rng, cap),
-        lambda: _check_roots_of_unity(ctx),
-        lambda: _check_qr_branch_count(ctx),
-    ]
-    names = [
-        "annulus_image",
-        "square_isomorphism",
-        "full_image_and_index",
-        "residue_field",
-        "exp_log_roundtrip",
-        "log_homomorphism",
-        "digit2_formula",
-        "lift_independence",
-        "preimage_soundness",
-        "preimage_matches_fiber",
-        "roots_of_unity",
-        "qr_branch_count",
-    ]
-    for name, job in zip(names, jobs):
+    tables = _Tables(ctx)
+    jobs = {
+        "annulus_image": lambda: _check_annulus_image(ctx, cap, tables),
+        "square_isomorphism": lambda: _check_square_iso(ctx, cap, tables),
+        "full_image_and_index": lambda: _check_full_image_and_index(ctx, cap, tables),
+        "residue_field": lambda: check_residue_field(ctx, cap),
+        "exp_log_roundtrip": lambda: _check_exp_log_roundtrip(ctx, rng),
+        "log_homomorphism": lambda: _check_log_homomorphism(ctx, rng),
+        "digit2_formula": lambda: _check_digit2_formula(ctx, rng),
+        "lift_independence": lambda: _check_lift_independence(ctx, rng),
+        "preimage_soundness": lambda: _check_preimage_soundness(ctx, rng),
+        "preimage_matches_fiber": lambda: _check_preimage_in_fiber(ctx, rng, cap, tables),
+        "roots_of_unity": lambda: _check_roots_of_unity(ctx),
+        "qr_branch_count": lambda: _check_qr_branch_count(ctx),
+    }
+    for name, job in jobs.items():
         try:
             report.checks.append(job())
         except CapExceeded as exc:

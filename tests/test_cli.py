@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 from cyclolog import Context, parse_digits, plog
 from cyclolog.cli import main
@@ -178,6 +179,14 @@ class TestVerifyCommand:
         code_b, out_b, _ = run_cli(argv, capsys)
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    def test_json_matches_golden(self, capsys):
+        # the same bytes the CI console-script step compares with `cmp`
+        argv = ["verify", "--p", "3", "--prec", "6", "--json", "--seed", "0"]
+        code, out, _ = run_cli(argv, capsys)
+        golden = Path(__file__).parent / "golden" / "verify_p3_n6_seed0.json"
+        assert code == 0
+        assert out == golden.read_text()
 
 
 class TestTableCommand:

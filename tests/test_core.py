@@ -300,9 +300,10 @@ class TestContext:
         with pytest.raises(ValueError):
             Context(3, 3)
 
-    def test_rejects_huge_p(self):
+    @pytest.mark.parametrize("p", [(1 << 20) + 7, 10**18 + 3])
+    def test_rejects_huge_p(self, p):
         with pytest.raises(ValueError):
-            Context((1 << 20) + 7, 6)
+            Context(p, 6)
 
     def test_ramification_index(self):
         assert Context(7, 5).e == 6

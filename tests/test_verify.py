@@ -1,16 +1,24 @@
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
 from cyclolog import (
     CapExceeded,
     Context,
+    PiElement,
     check_annulus_image,
     check_full_image_and_index,
     check_residue_field,
     check_square_iso,
+    plog,
     run_all,
 )
+from cyclolog import verify
+from cyclolog.verify import _closure_misses
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestAnnulusImage:
@@ -121,3 +129,94 @@ class TestRunAll:
             assert all(isinstance(v, int) for v in check["counts"].values())
             assert isinstance(check["witnesses"], list)
             assert all(isinstance(w, str) for w in check["witnesses"])
+
+
+class TestGoldenReports:
+    # captured with `cyclolog verify --json` before the single-pass verifier;
+    # the default JSON report must stay byte-identical for a fixed seed
+    @pytest.mark.parametrize(
+        "p,n,cap,name",
+        [
+            (3, 6, None, "verify_p3_n6_seed0.json"),
+            (5, 5, None, "verify_p5_n5_seed0.json"),
+            (3, 6, 200, "verify_p3_n6_seed0_cap200.json"),
+        ],
+    )
+    def test_report_matches_golden(self, p, n, cap, name):
+        kwargs = {} if cap is None else {"cap": cap}
+        report = run_all(Context(p, n), seed=0, **kwargs)
+        assert report.to_json() + "\n" == (GOLDEN / name).read_text()
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("p,n", [(3, 6), (5, 5), (11, 4)])
+    def test_run_all_matches_standalone_checks(self, p, n):
+        ctx = Context(p, n)
+        in_run = {c.name: c.to_dict() for c in run_all(ctx, seed=0).checks}
+        for check in (check_annulus_image, check_square_iso, check_full_image_and_index):
+            alone = check(ctx).to_dict()
+            assert in_run[alone["name"]] == alone
+
+    def test_each_table_is_built_once_per_run(self, monkeypatch):
+        built = []
+        log_table = verify._log_table
+
+        def counting(ctx, leads):
+            built.append(tuple(leads))
+            return log_table(ctx, leads)
+
+        monkeypatch.setattr(verify, "_log_table", counting)
+        run_all(Context(5, 4), seed=0)
+        assert sorted(built) == [(0,), (1, 2, 3, 4)]
+
+
+def _pairwise_closure_failures(members, ctx):
+    """The former closure test: every sum of two members is a member."""
+    failures = 0
+    for a, b in itertools.combinations_with_replacement(sorted(members), 2):
+        if (ctx.element(a) + ctx.element(b)).digits not in members:
+            failures += 1
+    return failures
+
+
+def _m_squared(ctx):
+    tails = itertools.product(range(ctx.p), repeat=ctx.precision - 2)
+    return {(0, 0) + tail for tail in tails}
+
+
+class TestClosureCertificate:
+    @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4)])
+    def test_real_image_agrees_with_pairwise(self, p, n):
+        ctx = Context(p, n)
+        units = itertools.product(range(p), repeat=n - 1)
+        image = {plog(PiElement((1,) + rest, ctx)).digits for rest in units}
+        assert image == _m_squared(ctx)
+        assert _closure_misses(ctx, image) == []
+        assert _pairwise_closure_failures(image, ctx) == 0
+
+    @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4)])
+    def test_m_squared_minus_an_element_fails_both(self, p, n):
+        ctx = Context(p, n)
+        missing = (0, 0, 1) + (0,) * (n - 3)
+        broken = _m_squared(ctx) - {missing}
+        assert missing in _closure_misses(ctx, broken)
+        assert _pairwise_closure_failures(broken, ctx) > 0
+
+    @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4)])
+    def test_m_squared_plus_pi_fails_both(self, p, n):
+        ctx = Context(p, n)
+        broken = _m_squared(ctx) | {(0, 1) + (0,) * (n - 2)}
+        assert _closure_misses(ctx, broken)
+        assert _pairwise_closure_failures(broken, ctx) > 0
+
+    def test_zero_is_required(self):
+        ctx = Context(3, 5)
+        assert _closure_misses(ctx, set()) == [(0,) * 5]
+
+    @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4)])
+    def test_proper_subgroup_m_cubed_is_flagged(self, p, n):
+        # m_K^3 is closed under addition, so only the pi^2 generator exposes it
+        ctx = Context(p, n)
+        m_cubed = {d for d in _m_squared(ctx) if d[2] == 0}
+        assert _pairwise_closure_failures(m_cubed, ctx) == 0
+        assert (0, 0, 1) + (0,) * (n - 3) in _closure_misses(ctx, m_cubed)
