@@ -1,17 +1,17 @@
-"""Constructive preimages of the logarithm on the unit annulus.
+"""Closed-form preimages of the logarithm on the unit annulus.
 
 A target y with digits 0 and 1 zero has exactly p - 1 preimages among the
-units whose leading digit a1 is nonzero.  Fixing a1 determines digit a2 in
-closed form; every later digit a_j is the unique solution of a one-digit
-congruence, because appending a_j*pi^j to a partial unit shifts digit j of
-its logarithm by exactly a_j.
+units whose leading digit a1 is nonzero, one per a1.  The one with leading
+digit b is u*exp(y - log u) for u = 1 + b*pi: log turns the product into a
+sum, and exp(z) lies in 1 + m_K^2, so the leading digit stays b.
+tests/oracle_preimage.py keeps the paper's digit induction as the reference.
 """
 
 from __future__ import annotations
 
 from .errors import BranchZero, NotInMSquared
 from .ring import Context, PiElement, PrincipalUnit
-from .series import plog
+from .series import pexp, plog
 
 
 def digit2_for_branch(y2: int, a1: int, ctx: Context) -> int:
@@ -51,10 +51,13 @@ def qr_pair_enumeration(y2: int, ctx: Context) -> set[tuple[int, int]]:
 def preimage(y: PiElement, branch: int) -> PrincipalUnit:
     """The unit with leading digit `branch` whose logarithm is y.
 
-    Digits are found inductively: after digits a1..a_{j-1} are fixed, the
-    partial unit's log already matches y below position j, and digit j moves
-    by exactly a_j when a_j*pi^j is appended, so a_j = y_j - (current digit j)
-    mod p.  The result satisfies plog(result) == y digitwise.
+    With u = 1 + branch*pi, the result r = u*pexp(y - plog(u)) satisfies:
+    - plog(r) = plog(u) + (y - plog(u)) = y, as log is a homomorphism and
+      inverts exp on m_K^2;
+    - r = u mod pi^2, since pexp(z) lies in 1 + m_K^2;
+    - r is the only such unit mod pi^N: two of them differ by a factor in
+      1 + m_K^2, where log is injective, with log zero.
+    So r matches the digit induction of the paper digit for digit.
     """
     ctx = y.ctx
     p, N = ctx.p, ctx.precision
@@ -62,15 +65,8 @@ def preimage(y: PiElement, branch: int) -> PrincipalUnit:
         raise NotInMSquared("target digits 0 and 1 must be zero")
     if not 1 <= branch < p:
         raise BranchZero(f"branch must lie in [1, {p}), got {branch}")
-    digits = [0] * N
-    digits[0] = 1
-    digits[1] = branch
-    digits[2] = digit2_for_branch(y.digits[2], branch, ctx)
-    for j in range(3, N):
-        partial = PiElement._make(tuple(digits), ctx)
-        current = plog(partial)
-        digits[j] = (y.digits[j] - current.digits[j]) % p
-    return PrincipalUnit(tuple(digits), ctx)
+    u = PiElement._make((1, branch) + (0,) * (N - 2), ctx)
+    return PrincipalUnit.from_element(u * pexp(y - plog(u)))
 
 
 def preimage_all(y: PiElement) -> list[PrincipalUnit]:

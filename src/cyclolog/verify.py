@@ -199,19 +199,23 @@ def _check_full_image_and_index(ctx: Context, cap: int, tables: _Tables) -> Chec
 
 
 def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
-    """m_K / m_K^2 has exactly p cosets: one free digit at position 1."""
+    """m_K / m_K^2 has exactly p cosets, counted on the units u = 1 + a1*pi:
+    the u - 1 fill p classes mod pi^2 and their logs fall in the class of 0."""
     p = ctx.p
-    m_mod = {(0, a1) for a1 in range(p)}
-    m2_mod = {(0, 0)}
+    _require(p, cap)
+    pi = ctx.uniformizer()
+    units = [ctx.one() + ctx.from_integer(a1) * pi for a1 in range(p)]
+    m_mod = {(u - 1).digits[:2] for u in units}
+    m2_mod = {plog(u).digits[:2] for u in units}
     cosets = len(m_mod) // len(m2_mod)
-    passed = cosets == p
+    passed = cosets == p and m2_mod == {(0, 0)}
     counts = {"m_mod_pi2": len(m_mod), "m2_mod_pi2": len(m2_mod), "cosets": cosets}
-    return CheckResult("residue_field", passed, counts, [])
+    return CheckResult("residue_field", passed, counts, _witnesses(m2_mod - {(0, 0)}))
 
 
-def _random_unit(rng: random.Random, ctx: Context, annulus: bool = False) -> PiElement:
+def _random_unit(rng: random.Random, ctx: Context) -> PiElement:
     p, n = ctx.p, ctx.precision
-    first = rng.randrange(1, p) if annulus else rng.randrange(p)
+    first = rng.randrange(p)
     tail = tuple(rng.randrange(p) for _ in range(n - 2))
     return PiElement._make((1, first) + tail, ctx)
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cyclolog import Context, parse_digits, plog
 from cyclolog.cli import main
 
@@ -187,6 +189,28 @@ class TestVerifyCommand:
         golden = Path(__file__).parent / "golden" / "verify_p3_n6_seed0.json"
         assert code == 0
         assert out == golden.read_text()
+
+
+class TestGoldenOutput:
+    # stdout of the digit-induction solver, which the closed form must reproduce
+    Y3 = "0,0,2,1,0,2,2,1,0,0,1,2,1,1,0,2,0,1,2,2,0,1,1,0,2,1,0,0,2,1,2,1"
+    Y13 = "0,0,7,12,3,0,9,1,11,4,6,2"
+    Y5 = "0,0,4,1,3,0,2,2,4,1,0,3,1,4,2,0"
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["preimage", "--p", "3", "--prec", "32", "--y", Y3, "--all"], "preimage_all_p3_n32.txt"),
+            (["preimage", "--p", "13", "--prec", "12", "--y", Y13, "--all"], "preimage_all_p13_n12.txt"),
+            (["preimage", "--p", "5", "--prec", "16", "--y", Y5, "--branch", "2"], "preimage_branch2_p5_n16.txt"),
+            (["roots", "--p", "11", "--prec", "10"], "roots_p11_n10.txt"),
+            (["table", "--p", "3", "--prec", "6"], "table_p3_n6.txt"),
+        ],
+    )
+    def test_stdout_matches_golden(self, argv, name, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == (Path(__file__).parent / "golden" / name).read_text()
 
 
 class TestTableCommand:

@@ -17,6 +17,7 @@ from cyclolog import (
     qr_pair_enumeration,
     roots_of_unity,
 )
+from oracle_preimage import digit_induction_preimage
 
 
 def random_target(rng, ctx):
@@ -124,6 +125,30 @@ class TestPreimage:
         ctx = Context(5, 6)
         y = normalize([0, 0, 3, 1, 0, 2], ctx)
         assert preimage(y, 2) == preimage(y, 2)
+
+
+class TestMatchesDigitInduction:
+    """The closed form against the paper's digit induction, digit for digit."""
+
+    @pytest.mark.parametrize(
+        "p,n",
+        [(3, 4), (3, 8), (5, 6), (7, 5), (11, 4), (3, 20), (11, 15), (13, 12), (3, 32), (101, 8)],
+    )
+    def test_preimage_all_every_branch(self, p, n):
+        ctx = Context(p, n)
+        rng = random.Random(97 * p + n)
+        for y in [ctx.zero()] + [random_target(rng, ctx) for _ in range(3)]:
+            expected = [digit_induction_preimage(y, b).digits for b in range(1, p)]
+            assert [u.digits for u in preimage_all(y)] == expected
+            assert [preimage(y, b).digits for b in range(1, p)] == expected
+
+    @pytest.mark.parametrize("p", [1009, 1048573])
+    def test_large_prime_edge_branches(self, p):
+        ctx = Context(p, 6)
+        rng = random.Random(p)
+        for y in [ctx.zero()] + [random_target(rng, ctx) for _ in range(2)]:
+            for branch in (1, 2, p - 1):
+                assert preimage(y, branch).digits == digit_induction_preimage(y, branch).digits
 
 
 class TestPreimageAll:

@@ -77,6 +77,17 @@ class TestResidueField:
         assert result.passed
         assert result.counts["cosets"] == p
 
+    def test_counts_the_systems_log_classes(self, monkeypatch):
+        ctx = Context(5, 4)
+        monkeypatch.setattr(verify, "plog", lambda u: u.ctx.uniformizer())
+        result = check_residue_field(ctx)
+        assert not result.passed
+        assert result.witnesses == ["0,1"]
+
+    def test_cap(self):
+        with pytest.raises(CapExceeded):
+            check_residue_field(Context(5, 4), cap=4)
+
 
 class TestRunAll:
     def test_all_pass_p3(self):
