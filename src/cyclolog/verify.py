@@ -5,8 +5,13 @@ run_all enumerates the annulus units and the units of 1 + m_K^2 once each, on
 first use within the cap, into tables from log digits to units that every
 exhaustive check reads.  The image is certified to be the group m_K^2 by its
 generators: it holds 0 and is closed under adding each pi^j, 2 <= j < N.
-Counts are exact and failures carry digit-string witnesses.  run_all adds
-seeded random property suites for the series and preimage modules and records
+Counts are exact and failures carry digit-string witnesses.
+
+run_all adds seeded property suites for the series and preimage modules.  Each
+sampled check is a stream of (ok, witnesses) trials counted by one tally,
+_tally.  The roots of unity are certified like the image, by a generator: the
+first root times each element of the group stays in it.  The cap bounds every
+check whose work grows with p, the sampled ones included, and run_all records
 a skipped-check marker instead of raising on a cap violation.
 """
 
@@ -213,163 +218,133 @@ def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
     return CheckResult("residue_field", passed, counts, _witnesses(m2_mod - {(0, 0)}))
 
 
-def _random_unit(rng: random.Random, ctx: Context) -> PiElement:
-    p, n = ctx.p, ctx.precision
-    first = rng.randrange(p)
-    tail = tuple(rng.randrange(p) for _ in range(n - 2))
-    return PiElement._make((1, first) + tail, ctx)
+def _random_element(rng: random.Random, ctx: Context, head: tuple[int, ...]) -> PiElement:
+    """`head` followed by random digits up to the precision, drawn in order."""
+    tail = tuple(rng.randrange(ctx.p) for _ in range(ctx.precision - len(head)))
+    return PiElement._make(head + tail, ctx)
 
 
-def _random_target(rng: random.Random, ctx: Context) -> PiElement:
-    p, n = ctx.p, ctx.precision
-    return PiElement._make((0, 0) + tuple(rng.randrange(p) for _ in range(n - 2)), ctx)
+def _tally(name: str, counts: dict[str, int], trials) -> CheckResult:
+    """Count the failing (ok, witnesses) trials, keeping the witnesses of the
+    first failures while fewer than _MAX_WITNESSES are held."""
+    failures, witnesses = 0, []
+    for ok, shown in trials:
+        if not ok:
+            failures += 1
+            if len(witnesses) < _MAX_WITNESSES:
+                witnesses.extend(shown)
+    return CheckResult(name, failures == 0, {**counts, "failures": failures}, witnesses)
 
 
 def _check_exp_log_roundtrip(ctx: Context, rng: random.Random, samples: int = 40) -> CheckResult:
-    failures, witnesses = 0, []
-    for _ in range(samples):
-        u = PiElement._make((1, 0) + tuple(rng.randrange(ctx.p) for _ in range(ctx.precision - 2)), ctx)
-        x = _random_target(rng, ctx)
-        if pexp(plog(u)) != u or plog(pexp(x)) != x:
-            failures += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append(format_digits(u))
-    return CheckResult(
-        "exp_log_roundtrip", failures == 0, {"samples": samples, "failures": failures}, witnesses
-    )
+    def trial():
+        u = _random_element(rng, ctx, (1, 0))
+        x = _random_element(rng, ctx, (0, 0))
+        return pexp(plog(u)) == u and plog(pexp(x)) == x, [format_digits(u)]
+
+    return _tally("exp_log_roundtrip", {"samples": samples}, (trial() for _ in range(samples)))
 
 
 def _check_log_homomorphism(ctx: Context, rng: random.Random, samples: int = 40) -> CheckResult:
-    failures, witnesses = 0, []
-    for _ in range(samples):
-        u = _random_unit(rng, ctx)
-        v = _random_unit(rng, ctx)
-        if plog(u * v) != plog(u) + plog(v):
-            failures += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.extend([format_digits(u), format_digits(v)])
-    return CheckResult(
-        "log_homomorphism", failures == 0, {"samples": samples, "failures": failures}, witnesses
-    )
+    def trial():
+        u, v = _random_element(rng, ctx, (1,)), _random_element(rng, ctx, (1,))
+        return plog(u * v) == plog(u) + plog(v), [format_digits(u), format_digits(v)]
+
+    return _tally("log_homomorphism", {"samples": samples}, (trial() for _ in range(samples)))
 
 
-def _check_digit2_formula(ctx: Context, rng: random.Random) -> CheckResult:
+def _check_digit2_formula(ctx: Context, rng: random.Random, cap: int) -> CheckResult:
     p = ctx.p
-    failures, witnesses, samples = 0, [], 0
-    for a1 in range(p):
-        for a2 in range(p):
-            tail = tuple(rng.randrange(p) for _ in range(ctx.precision - 3))
-            u = PiElement._make((1, a1, a2) + tail, ctx)
-            samples += 1
-            if plog(u).digits[2] != log_digit_formula(a1, a2, ctx):
-                failures += 1
-                if len(witnesses) < _MAX_WITNESSES:
-                    witnesses.append(format_digits(u))
-    return CheckResult(
-        "digit2_formula", failures == 0, {"samples": samples, "failures": failures}, witnesses
-    )
+    _require(p * p, cap)
+
+    def trial(a1, a2):
+        u = _random_element(rng, ctx, (1, a1, a2))
+        return plog(u).digits[2] == log_digit_formula(a1, a2, ctx), [format_digits(u)]
+
+    trials = (trial(a1, a2) for a1 in range(p) for a2 in range(p))
+    return _tally("digit2_formula", {"samples": p * p}, trials)
 
 
-def _check_lift_independence(ctx: Context, rng: random.Random, samples: int = 20) -> CheckResult:
-    p, n = ctx.p, ctx.precision
-    budget = SeriesBudget.for_target(p, n)
-    failures, witnesses = 0, []
-    for _ in range(samples):
-        u = _random_unit(rng, ctx)
-        pad = tuple(rng.randrange(p) for _ in range(budget.working_prec - n))
-        lifted = PiElement._make(u.digits + pad, Context(p, budget.working_prec))
-        if plog(lifted).resize(n) != plog(u):
-            failures += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append(format_digits(lifted))
-    return CheckResult(
-        "lift_independence", failures == 0, {"samples": samples, "failures": failures}, witnesses
-    )
+def _check_lift_independence(
+    ctx: Context, rng: random.Random, cap: int, samples: int = 20
+) -> CheckResult:
+    working_prec = SeriesBudget.for_target(ctx.p, ctx.precision).working_prec
+    _require(working_prec**2, cap)
+    lifted_ctx = Context(ctx.p, working_prec)
+
+    def trial():
+        u = _random_element(rng, ctx, (1,))
+        lifted = _random_element(rng, lifted_ctx, u.digits)
+        return plog(lifted).resize(ctx.precision) == plog(u), [format_digits(lifted)]
+
+    return _tally("lift_independence", {"samples": samples}, (trial() for _ in range(samples)))
 
 
-def _check_preimage_soundness(ctx: Context, rng: random.Random, samples: int = 20) -> CheckResult:
+def _check_preimage_soundness(
+    ctx: Context, rng: random.Random, cap: int, samples: int = 20
+) -> CheckResult:
     p = ctx.p
-    failures, witnesses = 0, []
-    for _ in range(samples):
-        y = _random_target(rng, ctx)
+    _require(samples * (p - 1), cap)
+
+    def trial():
+        y = _random_element(rng, ctx, (0, 0))
         units = preimage_all(y)
-        first_digits = {u.digits[1] for u in units}
-        if first_digits != set(range(1, p)) or any(plog(u) != y for u in units):
-            failures += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append(format_digits(y))
-    return CheckResult(
-        "preimage_soundness",
-        failures == 0,
-        {"targets": samples, "branches": p - 1, "failures": failures},
-        witnesses,
-    )
+        branches = {u.digits[1] for u in units}
+        return branches == set(range(1, p)) and all(plog(u) == y for u in units), [format_digits(y)]
+
+    counts = {"targets": samples, "branches": p - 1}
+    return _tally("preimage_soundness", counts, (trial() for _ in range(samples)))
 
 
 def _check_preimage_in_fiber(
     ctx: Context, rng: random.Random, cap: int, tables: _Tables, samples: int = 30
 ) -> CheckResult:
     _require((ctx.p - 1) * ctx.p ** (ctx.precision - 2), cap)
-    failures, witnesses = 0, []
-    for _ in range(samples):
-        y = _random_target(rng, ctx)
+
+    def trial():
+        y = _random_element(rng, ctx, (0, 0))
         constructed = {u.digits for u in preimage_all(y)}
-        if constructed != {u.digits for u in tables.annulus.get(y.digits, ())}:
-            failures += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append(format_digits(y))
-    return CheckResult(
-        "preimage_matches_fiber",
-        failures == 0,
-        {"targets": samples, "failures": failures},
-        witnesses,
-    )
+        fiber = {u.digits for u in tables.annulus.get(y.digits, ())}
+        return constructed == fiber, [format_digits(y)]
+
+    return _tally("preimage_matches_fiber", {"targets": samples}, (trial() for _ in range(samples)))
 
 
-def _check_roots_of_unity(ctx: Context) -> CheckResult:
+def _check_roots_of_unity(ctx: Context, cap: int) -> CheckResult:
+    """The p - 1 roots and 1 form a group G of order p, certified by its
+    generator z = roots[0]: z*g lies in G for every g in G.  There must be
+    p - 1 roots, so |G| <= p, and each root r must satisfy r^p = 1 and r != 1.
+    As p is prime, z has order exactly p, and z*G in G with 1 in G gives
+    <z> in G; so G = <z> is a group.  Hence `passed` is the pairwise-closure
+    boolean, at p products instead of p^2; only a failing report's failure
+    count can differ."""
     p = ctx.p
+    _require(p, cap)
     roots = roots_of_unity(ctx)
     one = ctx.one()
-    failures, witnesses = 0, []
-    if len(roots) != p - 1:
-        failures += 1
-    for z in roots:
-        if z ** p != one or z == one:
-            failures += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append(format_digits(z))
-    if roots[0].digits[1] != 1:
-        failures += 1
-        witnesses.append(format_digits(roots[0]))
-    group = {z.digits for z in roots} | {one.digits}
-    elements = [PiElement._make(d, ctx) for d in group]
-    for a in elements:
-        for b in elements:
-            if (a * b).digits not in group:
-                failures += 1
-                if len(witnesses) < _MAX_WITNESSES:
-                    witnesses.append(format_digits(a * b))
-    return CheckResult(
-        "roots_of_unity",
-        failures == 0,
-        {"roots": len(roots), "group_order": len(group), "failures": failures},
-        witnesses,
+    group = {r.digits for r in roots} | {one.digits}
+    z = roots[0]
+    trials = itertools.chain(
+        [(len(roots) == p - 1, [])],
+        ((r ** p == one and r != one, [format_digits(r)]) for r in roots),
+        [(z.digits[1] == 1, [format_digits(z)])],
+        ((zg.digits in group, [format_digits(zg)]) for zg in (z * g for g in (one, *roots))),
     )
+    return _tally("roots_of_unity", {"roots": len(roots), "group_order": len(group)}, trials)
 
 
-def _check_qr_branch_count(ctx: Context) -> CheckResult:
+def _check_qr_branch_count(ctx: Context, cap: int) -> CheckResult:
     p = ctx.p
-    failures, witnesses = 0, []
-    for y2 in range(p):
+    _require(p * p, cap)
+
+    def trial(y2):
         pairs = qr_pair_enumeration(y2, ctx)
         by_branch = {(a1, digit2_for_branch(y2, a1, ctx)) for a1 in range(1, p)}
         distinct_a2 = {a2 for _, a2 in pairs}
-        if len(pairs) != p - 1 or pairs != by_branch or len(distinct_a2) != (p - 1) // 2:
-            failures += 1
-            witnesses.append(str(y2))
-    return CheckResult(
-        "qr_branch_count", failures == 0, {"y2_values": p, "failures": failures}, witnesses
-    )
+        ok = len(pairs) == p - 1 and pairs == by_branch and len(distinct_a2) == (p - 1) // 2
+        return ok, [str(y2)]
+
+    return _tally("qr_branch_count", {"y2_values": p}, (trial(y2) for y2 in range(p)))
 
 
 def run_all(ctx: Context, seed: int = 0, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -386,12 +361,12 @@ def run_all(ctx: Context, seed: int = 0, cap: int = DEFAULT_CAP) -> Verification
         "residue_field": lambda: check_residue_field(ctx, cap),
         "exp_log_roundtrip": lambda: _check_exp_log_roundtrip(ctx, rng),
         "log_homomorphism": lambda: _check_log_homomorphism(ctx, rng),
-        "digit2_formula": lambda: _check_digit2_formula(ctx, rng),
-        "lift_independence": lambda: _check_lift_independence(ctx, rng),
-        "preimage_soundness": lambda: _check_preimage_soundness(ctx, rng),
+        "digit2_formula": lambda: _check_digit2_formula(ctx, rng, cap),
+        "lift_independence": lambda: _check_lift_independence(ctx, rng, cap),
+        "preimage_soundness": lambda: _check_preimage_soundness(ctx, rng, cap),
         "preimage_matches_fiber": lambda: _check_preimage_in_fiber(ctx, rng, cap, tables),
-        "roots_of_unity": lambda: _check_roots_of_unity(ctx),
-        "qr_branch_count": lambda: _check_qr_branch_count(ctx),
+        "roots_of_unity": lambda: _check_roots_of_unity(ctx, cap),
+        "qr_branch_count": lambda: _check_qr_branch_count(ctx, cap),
     }
     for name, job in jobs.items():
         try:

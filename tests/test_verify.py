@@ -121,6 +121,28 @@ class TestRunAll:
         assert any(c.passed for c in report.checks)
         assert not report.all_passed
 
+    def test_cap_bounds_every_check_that_grows_with_p(self):
+        p, n = 211, 4
+        working_prec = n + (p - 1) * 2  # SeriesBudget: p^2 > n + 2(p-1) >= p
+        required = {
+            "annulus_image": (p - 1) * p ** (n - 2),
+            "square_isomorphism": p ** (n - 2),
+            "full_image_and_index": p ** (n - 1),
+            "residue_field": p,
+            "digit2_formula": p * p,
+            "lift_independence": working_prec**2,
+            "preimage_soundness": 20 * (p - 1),
+            "preimage_matches_fiber": (p - 1) * p ** (n - 2),
+            "roots_of_unity": p,
+            "qr_branch_count": p * p,
+        }
+        report = run_all(Context(p, n), seed=0, cap=1)
+        ran = [c.name for c in report.checks if not c.counts.get("skipped")]
+        assert ran == ["exp_log_roundtrip", "log_homomorphism"]
+        skipped = {c.name: c.counts["required"] for c in report.checks if c.counts.get("skipped")}
+        assert skipped == required
+        assert skipped["lift_independence"] == 179776 and skipped["preimage_soundness"] == 4200
+
     def test_p2_rejected_at_context(self):
         with pytest.raises(ValueError):
             Context(2, 6)
@@ -157,6 +179,23 @@ class TestGoldenReports:
         kwargs = {} if cap is None else {"cap": cap}
         report = run_all(Context(p, n), seed=0, **kwargs)
         assert report.to_json() + "\n" == (GOLDEN / name).read_text()
+
+    def test_failing_report_matches_golden(self, monkeypatch):
+        # captured before the sampled checks moved onto one tally, with plog
+        # off by pi^(N-1) on every unit whose top digit is 1; seven checks fail
+        real = verify.plog
+
+        def faulty(u):
+            y = real(u)
+            if u.digits[-1] == 1:
+                return y + u.ctx.uniformizer().mul_pi_power(u.ctx.precision - 2)
+            return y
+
+        monkeypatch.setattr(verify, "plog", faulty)
+        report = run_all(Context(5, 5), seed=3)
+        assert sum(not c.passed for c in report.checks) == 7
+        golden = (GOLDEN / "verify_p5_n5_seed3_faulty_plog.json").read_text()
+        assert report.to_json() + "\n" == golden
 
 
 class TestSharedTables:
@@ -231,3 +270,49 @@ class TestClosureCertificate:
         m_cubed = {d for d in _m_squared(ctx) if d[2] == 0}
         assert _pairwise_closure_failures(m_cubed, ctx) == 0
         assert (0, 0, 1) + (0,) * (n - 3) in _closure_misses(ctx, m_cubed)
+
+
+class TestWitnessCap:
+    def test_qr_branch_count_keeps_at_most_five_witnesses(self, monkeypatch):
+        monkeypatch.setattr(verify, "digit2_for_branch", lambda y2, a1, ctx: 0)
+        checks = {c.name: c for c in run_all(Context(11, 4), seed=0).checks}
+        qr = checks["qr_branch_count"]
+        assert not qr.passed and qr.counts["failures"] == 11
+        assert qr.witnesses == ["0", "1", "2", "3", "4"]
+
+    def test_roots_of_unity_keeps_at_most_five_witnesses(self, monkeypatch):
+        # every "root" is 1: each fails r != 1 and the first lacks digit 1 = 1
+        monkeypatch.setattr(verify, "roots_of_unity", lambda ctx: [ctx.one()] * (ctx.p - 1))
+        result = verify._check_roots_of_unity(Context(7, 4), verify.DEFAULT_CAP)
+        assert not result.passed and result.counts["failures"] == 7
+        assert len(result.witnesses) == 5
+
+
+def _pairwise_roots_failures(roots, ctx):
+    """The former group test: every product of two elements of roots + {1} is in it."""
+    group = {r.digits for r in roots} | {ctx.one().digits}
+    elements = [ctx.element(d) for d in group]
+    return sum((a * b).digits not in group for a in elements for b in elements)
+
+
+class TestRootsCertificate:
+    @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4), (11, 4)])
+    def test_real_roots_agree_with_pairwise(self, p, n):
+        ctx = Context(p, n)
+        result = verify._check_roots_of_unity(ctx, verify.DEFAULT_CAP)
+        assert result.passed and result.counts["group_order"] == p
+        assert _pairwise_roots_failures(verify.roots_of_unity(ctx), ctx) == 0
+
+    @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4), (11, 4)])
+    def test_a_repeated_root_fails_both(self, p, n, monkeypatch):
+        ctx = Context(p, n)
+        roots = verify.roots_of_unity(ctx)
+        broken = roots[:-1] + [roots[0]]  # p - 1 true roots of unity, one twice
+        monkeypatch.setattr(verify, "roots_of_unity", lambda ctx: broken)
+        result = verify._check_roots_of_unity(ctx, verify.DEFAULT_CAP)
+        assert not result.passed and result.counts["group_order"] == p - 1
+        assert _pairwise_roots_failures(broken, ctx) > 0
+
+    def test_cap(self):
+        with pytest.raises(CapExceeded):
+            verify._check_roots_of_unity(Context(7, 4), cap=6)
