@@ -13,31 +13,11 @@ import argparse
 import itertools
 import sys
 
-from .errors import (
-    BranchZero,
-    CapExceeded,
-    ContextMismatch,
-    DigitStringError,
-    NotAUnit,
-    NotDivisible,
-    NotInMSquared,
-    NotPrincipalUnit,
-    ValuationTooSmall,
-)
+from .errors import CapExceeded, CyclologError, DigitStringError
 from .ring import Context, PiElement, format_digits, parse_digits
 from .series import pexp, plog
 from .preimage import preimage, preimage_all, roots_of_unity
 from .verify import DEFAULT_CAP, run_all
-
-_DOMAIN_ERRORS = (
-    NotPrincipalUnit,
-    NotInMSquared,
-    BranchZero,
-    ValuationTooSmall,
-    NotAUnit,
-    NotDivisible,
-    ContextMismatch,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,12 +149,12 @@ def main(argv=None) -> int:
     except DigitStringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except CyclologError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

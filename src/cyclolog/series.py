@@ -37,8 +37,9 @@ class SeriesBudget:
 
     p_power_cap is the least L with p**L > target_prec + (p-1)*L; cutoff and
     working_prec both equal target_prec + (p-1)*L.  Every dropped term x^n/n
-    with n > cutoff then has pi-valuation at least target_prec.  plog does
-    not sum at working_prec; it is the pad length of lift-independence checks.
+    with n > cutoff then has pi-valuation at least target_prec.  plog sums
+    at the target precision, so no runtime code reads working_prec or sets a
+    pad from it; the class stays exported as the tail certificate.
     """
 
     target_prec: int

@@ -9,10 +9,12 @@ Counts are exact and failures carry digit-string witnesses.
 
 run_all adds seeded property suites for the series and preimage modules.  Each
 sampled check is a stream of (ok, witnesses) trials counted by one tally,
-_tally.  The roots of unity are certified like the image, by a generator: the
-first root times each element of the group stays in it.  The cap bounds every
-check whose work grows with p, the sampled ones included, and run_all records
-a skipped-check marker instead of raising on a cap violation.
+_tally, and draws from a stream of its own, random.Random(f"{seed}:{name}"),
+so its report depends only on (p, N, seed, its name).  The roots of unity are
+certified like the image, by a generator: the first root z has z^p = 1 and
+z != 1, and z times each element of the group stays in it.  The cap bounds
+every check whose work grows with p, the sampled ones included, and run_all
+records a skipped-check marker instead of raising on a cap violation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded
 from .ring import Context, PiElement, format_digits
-from .series import SeriesBudget, log_digit_formula, pexp, plog
+from .series import log_digit_formula, pexp, plog
 from .preimage import digit2_for_branch, preimage_all, qr_pair_enumeration, roots_of_unity
 
 DEFAULT_CAP = 10_000_000
@@ -268,9 +270,9 @@ def _check_digit2_formula(ctx: Context, rng: random.Random, cap: int) -> CheckRe
 def _check_lift_independence(
     ctx: Context, rng: random.Random, cap: int, samples: int = 20
 ) -> CheckResult:
-    working_prec = SeriesBudget.for_target(ctx.p, ctx.precision).working_prec
-    _require(working_prec**2, cap)
-    lifted_ctx = Context(ctx.p, working_prec)
+    lifted_prec = 2 * ctx.precision
+    _require(lifted_prec**2, cap)
+    lifted_ctx = Context(ctx.p, lifted_prec)
 
     def trial():
         u = _random_element(rng, ctx, (1,))
@@ -312,12 +314,13 @@ def _check_preimage_in_fiber(
 
 def _check_roots_of_unity(ctx: Context, cap: int) -> CheckResult:
     """The p - 1 roots and 1 form a group G of order p, certified by its
-    generator z = roots[0]: z*g lies in G for every g in G.  There must be
-    p - 1 roots, so |G| <= p, and each root r must satisfy r^p = 1 and r != 1.
-    As p is prime, z has order exactly p, and z*G in G with 1 in G gives
-    <z> in G; so G = <z> is a group.  Hence `passed` is the pairwise-closure
-    boolean, at p products instead of p^2; only a failing report's failure
-    count can differ."""
+    generator z = roots[0]: z^p = 1, z != 1, and z*g lies in G for every g in
+    G.  There must be p - 1 roots, so |G| <= p.  As p is prime, z has order
+    exactly p, and z*G in G with 1 in G gives <z> in G; so G = <z> and
+    |G| = p.  Hence the p - 1 roots are distinct, none is 1, and each has
+    r^p = 1: for every input, `passed` is the same boolean as with a power of
+    every root, at one power instead of p - 1; only a failing report's
+    failure count can differ."""
     p = ctx.p
     _require(p, cap)
     roots = roots_of_unity(ctx)
@@ -326,7 +329,7 @@ def _check_roots_of_unity(ctx: Context, cap: int) -> CheckResult:
     z = roots[0]
     trials = itertools.chain(
         [(len(roots) == p - 1, [])],
-        ((r ** p == one and r != one, [format_digits(r)]) for r in roots),
+        [(z ** p == one and z != one, [format_digits(z)])],
         [(z.digits[1] == 1, [format_digits(z)])],
         ((zg.digits in group, [format_digits(zg)]) for zg in (z * g for g in (one, *roots))),
     )
@@ -349,28 +352,28 @@ def _check_qr_branch_count(ctx: Context, cap: int) -> CheckResult:
 
 def run_all(ctx: Context, seed: int = 0, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Run every check plus the seeded property suites; deterministic for a
-    given (p, precision, seed).  A check that would exceed the cap is recorded
-    as a skipped marker rather than raised."""
-    rng = random.Random(seed)
+    given (p, precision, seed).  Each check gets its own random stream, seeded
+    with f"{seed}:{name}".  A check that would exceed the cap is recorded as a
+    skipped marker rather than raised."""
     report = VerificationReport(ctx.p, ctx.precision)
     tables = _Tables(ctx)
     jobs = {
-        "annulus_image": lambda: _check_annulus_image(ctx, cap, tables),
-        "square_isomorphism": lambda: _check_square_iso(ctx, cap, tables),
-        "full_image_and_index": lambda: _check_full_image_and_index(ctx, cap, tables),
-        "residue_field": lambda: check_residue_field(ctx, cap),
-        "exp_log_roundtrip": lambda: _check_exp_log_roundtrip(ctx, rng),
-        "log_homomorphism": lambda: _check_log_homomorphism(ctx, rng),
-        "digit2_formula": lambda: _check_digit2_formula(ctx, rng, cap),
-        "lift_independence": lambda: _check_lift_independence(ctx, rng, cap),
-        "preimage_soundness": lambda: _check_preimage_soundness(ctx, rng, cap),
-        "preimage_matches_fiber": lambda: _check_preimage_in_fiber(ctx, rng, cap, tables),
-        "roots_of_unity": lambda: _check_roots_of_unity(ctx, cap),
-        "qr_branch_count": lambda: _check_qr_branch_count(ctx, cap),
+        "annulus_image": lambda rng: _check_annulus_image(ctx, cap, tables),
+        "square_isomorphism": lambda rng: _check_square_iso(ctx, cap, tables),
+        "full_image_and_index": lambda rng: _check_full_image_and_index(ctx, cap, tables),
+        "residue_field": lambda rng: check_residue_field(ctx, cap),
+        "exp_log_roundtrip": lambda rng: _check_exp_log_roundtrip(ctx, rng),
+        "log_homomorphism": lambda rng: _check_log_homomorphism(ctx, rng),
+        "digit2_formula": lambda rng: _check_digit2_formula(ctx, rng, cap),
+        "lift_independence": lambda rng: _check_lift_independence(ctx, rng, cap),
+        "preimage_soundness": lambda rng: _check_preimage_soundness(ctx, rng, cap),
+        "preimage_matches_fiber": lambda rng: _check_preimage_in_fiber(ctx, rng, cap, tables),
+        "roots_of_unity": lambda rng: _check_roots_of_unity(ctx, cap),
+        "qr_branch_count": lambda rng: _check_qr_branch_count(ctx, cap),
     }
     for name, job in jobs.items():
         try:
-            report.checks.append(job())
+            report.checks.append(job(random.Random(f"{seed}:{name}")))
         except CapExceeded as exc:
             report.checks.append(
                 CheckResult(

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from cyclolog import Context, parse_digits, plog
+from cyclolog import cli
 from cyclolog.cli import main
+from cyclolog.errors import CapExceeded, CyclologError, DigitStringError
 
 
 def run_cli(argv, capsys):
@@ -265,3 +267,20 @@ class TestEntryPoint:
         ):
             code, _, _ = run_cli(argv, capsys)
             assert code == 2, argv
+
+
+_EXIT_CODES = {DigitStringError: 2, CapExceeded: 4}
+
+
+class TestErrorExitCodes:
+    @pytest.mark.parametrize(
+        "error", CyclologError.__subclasses__(), ids=lambda cls: cls.__name__
+    )
+    def test_each_domain_error_maps_to_its_exit_code(self, error, monkeypatch, capsys):
+        def raising(args, ctx):
+            raise error(1, 0) if error is CapExceeded else error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_log", raising)
+        code, _, err = run_cli(["log", "--p", "5", "--prec", "5", "--unit", "1"], capsys)
+        assert code == _EXIT_CODES.get(error, 3)
+        assert err.startswith("error: ")

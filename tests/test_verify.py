@@ -123,14 +123,13 @@ class TestRunAll:
 
     def test_cap_bounds_every_check_that_grows_with_p(self):
         p, n = 211, 4
-        working_prec = n + (p - 1) * 2  # SeriesBudget: p^2 > n + 2(p-1) >= p
         required = {
             "annulus_image": (p - 1) * p ** (n - 2),
             "square_isomorphism": p ** (n - 2),
             "full_image_and_index": p ** (n - 1),
             "residue_field": p,
             "digit2_formula": p * p,
-            "lift_independence": working_prec**2,
+            "lift_independence": (2 * n) ** 2,
             "preimage_soundness": 20 * (p - 1),
             "preimage_matches_fiber": (p - 1) * p ** (n - 2),
             "roots_of_unity": p,
@@ -141,7 +140,13 @@ class TestRunAll:
         assert ran == ["exp_log_roundtrip", "log_homomorphism"]
         skipped = {c.name: c.counts["required"] for c in report.checks if c.counts.get("skipped")}
         assert skipped == required
-        assert skipped["lift_independence"] == 179776 and skipped["preimage_soundness"] == 4200
+        assert skipped["lift_independence"] == 64 and skipped["preimage_soundness"] == 4200
+
+    def test_lift_independence_pads_to_twice_the_precision(self):
+        # a pad of 2N keeps the check's cost (2N)^2 independent of p
+        checks = {c.name: c for c in run_all(Context(1009, 4), seed=0, cap=100).checks}
+        lift = checks["lift_independence"]
+        assert lift.passed and lift.counts == {"samples": 20, "failures": 0}
 
     def test_p2_rejected_at_context(self):
         with pytest.raises(ValueError):
@@ -181,8 +186,9 @@ class TestGoldenReports:
         assert report.to_json() + "\n" == (GOLDEN / name).read_text()
 
     def test_failing_report_matches_golden(self, monkeypatch):
-        # captured before the sampled checks moved onto one tally, with plog
-        # off by pi^(N-1) on every unit whose top digit is 1; seven checks fail
+        # captured with one random stream per sampled check and a 2N lift pad,
+        # with plog off by pi^(N-1) on every unit whose top digit is 1; seven
+        # checks fail
         real = verify.plog
 
         def faulty(u):
@@ -281,10 +287,14 @@ class TestWitnessCap:
         assert qr.witnesses == ["0", "1", "2", "3", "4"]
 
     def test_roots_of_unity_keeps_at_most_five_witnesses(self, monkeypatch):
-        # every "root" is 1: each fails r != 1 and the first lacks digit 1 = 1
-        monkeypatch.setattr(verify, "roots_of_unity", lambda ctx: [ctx.one()] * (ctx.p - 1))
+        # every "root" is 1 + pi, which has (1 + pi)^7 = 1 mod pi^4, so only the
+        # certificate fails: z*z is outside G once for each of the six copies
+        def copies(ctx):
+            return [ctx.one() + ctx.uniformizer()] * (ctx.p - 1)
+
+        monkeypatch.setattr(verify, "roots_of_unity", copies)
         result = verify._check_roots_of_unity(Context(7, 4), verify.DEFAULT_CAP)
-        assert not result.passed and result.counts["failures"] == 7
+        assert not result.passed and result.counts["failures"] == 6
         assert len(result.witnesses) == 5
 
 
@@ -311,6 +321,17 @@ class TestRootsCertificate:
         monkeypatch.setattr(verify, "roots_of_unity", lambda ctx: broken)
         result = verify._check_roots_of_unity(ctx, verify.DEFAULT_CAP)
         assert not result.passed and result.counts["group_order"] == p - 1
+        assert _pairwise_roots_failures(broken, ctx) > 0
+
+    @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4), (11, 4)])
+    def test_a_perturbed_last_root_fails_both(self, p, n, monkeypatch):
+        ctx = Context(p, n)
+        roots = verify.roots_of_unity(ctx)
+        top = ctx.uniformizer().mul_pi_power(n - 2)
+        broken = roots[:-1] + [roots[-1] + top]  # distinct, but not a group
+        monkeypatch.setattr(verify, "roots_of_unity", lambda ctx: broken)
+        result = verify._check_roots_of_unity(ctx, verify.DEFAULT_CAP)
+        assert not result.passed
         assert _pairwise_roots_failures(broken, ctx) > 0
 
     def test_cap(self):
