@@ -77,7 +77,15 @@ def preimage_all(y: PiElement) -> list[PrincipalUnit]:
 def roots_of_unity(ctx: Context) -> list[PrincipalUnit]:
     """The p - 1 nontrivial p-th roots of unity, as the log fiber over zero.
 
-    The branch-1 root is congruent to 1 + pi mod pi^2, the root attached to
-    the uniformizer normalization pi^(p-1) = -p.
+    The branch-1 root z = preimage(0, 1) is congruent to 1 + pi mod pi^2, the
+    root attached to the uniformizer normalization pi^(p-1) = -p.  Branch b
+    is z^b: log(z^b) = b*log z = 0 and z^b = 1 + b*pi mod pi^2, and each
+    branch holds exactly one unit with log 0 (see preimage), so the list
+    matches preimage_all(ctx.zero()) digit for digit at one preimage and
+    p - 2 products.
     """
-    return preimage_all(ctx.zero())
+    z = preimage(ctx.zero(), 1)
+    roots = [z]
+    for _ in range(ctx.p - 2):
+        roots.append(PrincipalUnit.from_element(roots[-1] * z))
+    return roots

@@ -15,6 +15,7 @@ land at or beyond the precision are exact multiples of pi^N and get dropped.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,9 +31,6 @@ from .errors import (
 # precision * (p-1)**2 < 2**64 holds whenever p <= 2**20 and N <= 2**24.
 P_CAP = 1 << 20
 PRECISION_CAP = 1 << 24
-
-_PACK = 64
-_MASK = (1 << _PACK) - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,13 +128,6 @@ def normalize(raw: Sequence[int], ctx: Context) -> PiElement:
     return PiElement._make(_normalize_digits(raw, ctx.p, ctx.precision), ctx)
 
 
-def _pack(digits: tuple[int, ...]) -> int:
-    acc = 0
-    for d in reversed(digits):
-        acc = (acc << _PACK) | d
-    return acc
-
-
 class PiElement:
     """A canonical digit vector in the pi-basis.  Treat as immutable.
 
@@ -208,19 +199,18 @@ class PiElement:
         return rhs - self
 
     def __mul__(self, other):
-        ctx = self.ctx
-        if isinstance(other, int):
-            # scaling every digit is multiplication by the constant
-            raw = [d * other for d in self.digits]
-            return PiElement._make(_normalize_digits(raw, ctx.p, ctx.precision), ctx)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        # digit convolution via one big-integer product (Kronecker substitution);
+        ctx = self.ctx
+        # digit convolution via one big-integer product (Kronecker substitution),
+        # packed and unpacked as little-endian 64-bit limbs by struct;
         # limbs stay below 2**64 by the Context caps on p and precision
         n = ctx.precision
-        prod = _pack(self.digits) * _pack(rhs.digits)
-        raw = [(prod >> (_PACK * j)) & _MASK for j in range(n)]
+        limbs = f"<{n}Q"
+        a = int.from_bytes(struct.pack(limbs, *self.digits), "little")
+        b = int.from_bytes(struct.pack(limbs, *rhs.digits), "little")
+        raw = struct.unpack_from(limbs, (a * b).to_bytes(16 * n, "little"))
         return PiElement._make(_normalize_digits(raw, ctx.p, n), ctx)
 
     __rmul__ = __mul__
@@ -361,8 +351,8 @@ def format_digits(a: PiElement) -> str:
 def parse_digits(text: str, ctx: Context) -> PiElement:
     """Parse the digit-string format; strict, no normalization.
 
-    Rejects non-integer tokens, digits outside [0, p) and vectors longer than
-    the precision.  Shorter vectors are zero padded.
+    Rejects tokens other than ASCII numerals, digits outside [0, p) and
+    vectors longer than the precision.  Shorter vectors are zero padded.
     """
     parts = [t.strip() for t in text.split(",")]
     if len(parts) > ctx.precision:
@@ -372,10 +362,12 @@ def parse_digits(text: str, ctx: Context) -> PiElement:
     digits = []
     for tok in parts:
         try:
-            d = int(tok)
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(tok)
+            d = int(tok)  # still raises past int's digit-count limit
         except ValueError:
             raise DigitStringError(f"invalid digit {tok!r}") from None
-        if d < 0 or d >= ctx.p:
+        if d >= ctx.p:
             raise DigitStringError(f"digit {d} outside [0, {ctx.p})")
         digits.append(d)
     digits.extend(0 for _ in range(ctx.precision - len(digits)))

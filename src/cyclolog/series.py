@@ -4,7 +4,8 @@ With x = pi^v * w and p = -pi^(p-1), a series term whose denominator holds
 p^k is +-c * pi^s * w^n with c a p-adic unit and s = n*v - (p-1)*k >= v:
 an upward shift, so no digit is forgotten and no working-precision lift is
 needed.  The top v digits of w are unknown, but pi^s * w^n mod pi^N needs
-w^n only mod pi^(N-s).  Terms with s >= N are multiples of pi^N and skipped.
+w^n only mod pi^(N-s).  Terms with s >= N are multiples of pi^N and skipped;
+the rest add their digits into one integer vector, which is carried once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPrincipalUnit, ValuationTooSmall
-from .ring import Context, PiElement, PrincipalUnit
+from .ring import Context, PiElement, PrincipalUnit, normalize
 
 
 def _floor_log(p: int, n: int) -> int:
@@ -85,18 +86,24 @@ def _integer_inverse(m: int, ctx: Context) -> int:
     return pow(m, -1, ctx.p ** M)
 
 
-def _shift_sum(acc: PiElement, w: PiElement, terms: list[tuple[int, int, int]]) -> PiElement:
-    """acc + sum(c * pi^s * w^n for n, s, c in terms), with terms sorted by n.
+def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> PiElement:
+    """const + sum(c * pi^s * w^n for n, s, c in terms), with terms sorted by n.
 
-    w^n costs one multiplication per step of 1 in n and one power per gap.
+    Each term adds c*d into raw[s + j] for each digit d = (w^n).digits[j],
+    j < N - s, and one normalize call carries the sum.  The digits match a
+    term-by-term ring sum: normalize canonicalizes any integer vector exactly,
+    and pi^s * (c*w^n mod pi^N) = c*pi^s*w^n mod pi^N.  w^n costs one
+    multiplication per step of 1 in n and one power per gap.
     """
+    ctx = w.ctx
+    raw = [const] + [0] * (ctx.precision - 1)
     power, done = w, 1
     for n, s, c in terms:
         if n > done:
             power = power * (w if n == done + 1 else w ** (n - done))
             done = n
-        acc = acc + (power * c).mul_pi_power(s)
-    return acc
+        raw[s:] = [r + c * d for r, d in zip(raw[s:], power.digits)]
+    return normalize(raw, ctx)
 
 
 def plog(u: PiElement) -> PiElement:
@@ -121,7 +128,7 @@ def plog(u: PiElement) -> PiElement:
                 c = (-1) ** (n + 1 + k) * _integer_inverse(m, ctx)
                 terms.append((n, n * v - (p - 1) * k, c))
         k += 1
-    return _shift_sum(ctx.zero(), x.div_pi_power(v), sorted(terms))
+    return _shift_sum(0, x.div_pi_power(v), sorted(terms))
 
 
 def pexp(x: PiElement) -> PrincipalUnit:
@@ -143,7 +150,7 @@ def pexp(x: PiElement) -> PrincipalUnit:
         s = n * v - (p - 1) * k
         if s < N:
             terms.append((n, s, (-1) ** k * _integer_inverse(m, ctx)))
-    return PrincipalUnit.from_element(_shift_sum(ctx.one(), x.div_pi_power(v), terms))
+    return PrincipalUnit.from_element(_shift_sum(1, x.div_pi_power(v), terms))
 
 
 def log_digit_formula(a1: int, a2: int, ctx: Context) -> int:

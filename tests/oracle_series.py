@@ -4,6 +4,9 @@ naive_plog sums the series directly with the core carry arithmetic at an
 enlarged precision, using none of the budget machinery from the package.
 poly_log_digits is a second, fully separate path: exact Fraction polynomials
 in the uniformizer, with digits peeled off via 1/pi = -pi^(p-2)/p.
+term_by_term_sum is a drop-in for series._shift_sum that adds each term as a
+canonical ring element, so it checks the single carry pass where the Fraction
+oracle is too slow.
 """
 
 from __future__ import annotations
@@ -40,6 +43,18 @@ def naive_plog(u: PiElement, extra: int | None = None) -> PiElement:
         acc = acc + term if n % 2 == 1 else acc - term
         x_pow = x_pow * x
     return acc.resize(target)
+
+
+def term_by_term_sum(const: int, w: PiElement, terms) -> PiElement:
+    """const + sum(c * pi^s * w^n for n, s, c in terms), one ring op at a time."""
+    acc = w.ctx.from_integer(const)
+    power, done = w, 1
+    for n, s, c in terms:
+        if n > done:
+            power = power * (w if n == done + 1 else w ** (n - done))
+            done = n
+        acc = acc + (power * c).mul_pi_power(s)
+    return acc
 
 
 def _reduce_pow(i: int, p: int) -> tuple[Fraction, int]:

@@ -50,6 +50,9 @@ class TestLogCommand:
                 ["log", "--p", "5", "--prec", "5", "--unit", bad], capsys
             )
             assert code == 2, bad
+        code, _, err = run_cli(["log", "--p", "13", "--prec", "4", "--unit", "1,1_0"], capsys)
+        assert code == 2
+        assert "invalid digit" in err
 
     def test_missing_argument_exits_2(self, capsys):
         code, _, _ = run_cli(["log", "--p", "5", "--prec", "5"], capsys)

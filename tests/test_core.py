@@ -111,13 +111,18 @@ class TestRingOps:
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
 
-    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
+    @pytest.mark.parametrize(
+        "p,n", [(3, 8), (5, 6), (7, 5), (13, 12), (3, 32), (101, 32), (1048573, 16)]
+    )
     def test_mul_matches_schoolbook(self, p, n):
         ctx = Context(p, n)
         rng = random.Random(17)
         for _ in range(300):
             a, b = random_element(rng, ctx), random_element(rng, ctx)
             assert a * b == schoolbook_mul(a, b)
+        # every digit p - 1 gives the largest convolution limbs the codec carries
+        top = PiElement((p - 1,) * n, ctx)
+        assert top * top == schoolbook_mul(top, top)
 
     def test_int_scaling_matches_embedded_product(self):
         ctx = Context(5, 6)
@@ -332,6 +337,11 @@ class TestDigitStrings:
         ctx = Context(5, 4)
         with pytest.raises(DigitStringError):
             parse_digits("1,a,0,0", ctx)
+        # at p = 13 int() would read each of these as a digit in range
+        ctx = Context(13, 4)
+        for text in ("1,+2", "1,1_0", "1,\u0663", "1,-0", "1," + "1" * 5000):
+            with pytest.raises(DigitStringError, match="invalid digit"):
+                parse_digits(text, ctx)
 
     def test_rejects_too_long(self):
         ctx = Context(5, 4)

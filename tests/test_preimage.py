@@ -211,3 +211,12 @@ class TestRootsOfUnity:
             ctx = Context(p, n)
             for z in roots_of_unity(ctx):
                 assert plog(z) == ctx.zero()
+
+    @pytest.mark.parametrize(
+        "p,n", [(3, 8), (5, 6), (7, 5), (11, 10), (13, 12), (101, 8), (1009, 4)]
+    )
+    def test_powers_of_branch_one_root_match_the_log_fiber(self, p, n):
+        # roots_of_unity builds z, z^2, ..., z^(p-1); preimage_all solves each branch
+        ctx = Context(p, n)
+        roots = roots_of_unity(ctx)
+        assert [z.digits for z in roots] == [u.digits for u in preimage_all(ctx.zero())]

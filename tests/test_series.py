@@ -14,9 +14,10 @@ from cyclolog import (
     pexp,
     plog,
 )
+from cyclolog import series
 from cyclolog.series import _integer_inverse
 
-from oracle_series import naive_plog, poly_log_digits
+from oracle_series import naive_plog, poly_log_digits, term_by_term_sum
 
 
 def random_principal_unit(rng, ctx, annulus=False):
@@ -154,6 +155,16 @@ class TestPlog:
             u = random_principal_unit(rng, ctx)
             assert plog(u).digits == poly_log_digits(u.digits, p, n)
 
+    @pytest.mark.parametrize("p,n", [(3, 32), (5, 16), (7, 32), (3, 128)])
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    def test_matches_poly_oracle_when_n_exceeds_p(self, p, n, v):
+        # many terms overlap in each digit here, so one carry pass meets the largest sums
+        ctx = Context(p, n)
+        rng = random.Random(89 + v)
+        w = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(n - v - 1))
+        u = PiElement((1,) + (0,) * (v - 1) + w, ctx)
+        assert plog(u).digits == poly_log_digits(u.digits, p, n)
+
 
 class TestPexp:
     def test_exp_of_zero_is_one(self):
@@ -174,7 +185,7 @@ class TestPexp:
             u = PiElement((1, 0) + tail, ctx)
             assert pexp(plog(u)) == u
 
-    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
+    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5), (3, 32), (7, 32)])
     def test_roundtrip_exp_then_log(self, p, n):
         ctx = Context(p, n)
         rng = random.Random(71)
@@ -211,6 +222,23 @@ class TestLargePrime:
             assert pexp(plog(square_unit)) == square_unit
             x = random_target(rng, ctx)
             assert plog(pexp(x)) == x
+
+
+class TestSingleCarryPass:
+    # the Fraction oracle takes over a minute per unit on these rows
+    @pytest.mark.parametrize("p,n", [(101, 32), (211, 8), (1009, 6), (1048573, 16)])
+    def test_matches_term_by_term_ring_sum(self, p, n, monkeypatch):
+        ctx = Context(p, n)
+        rng = random.Random(97)
+        cases = []
+        for v in (1, 2, 3):
+            w = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(n - v - 1))
+            head = (0,) * v
+            cases.append((PiElement((1,) + head[1:] + w, ctx), PiElement(head + w, ctx)))
+        got = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
+        monkeypatch.setattr(series, "_shift_sum", term_by_term_sum)
+        want = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
+        assert got == want
 
 
 class TestDigitFormulas:
