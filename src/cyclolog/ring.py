@@ -220,13 +220,14 @@ class PiElement:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative exponents are not supported; use invert_unit")
-        result = self.ctx.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
+        if exponent == 0:
+            return self.ctx.one()
+        # left to right from self: bit_length - 1 squarings, popcount - 1 products
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

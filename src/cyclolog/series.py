@@ -93,14 +93,14 @@ def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> P
     j < N - s, and one normalize call carries the sum.  The digits match a
     term-by-term ring sum: normalize canonicalizes any integer vector exactly,
     and pi^s * (c*w^n mod pi^N) = c*pi^s*w^n mod pi^N.  w^n costs one
-    multiplication per step of 1 in n and one power per gap.
+    multiplication by w^(gap) per step, and w ** 1 is w, with no product.
     """
     ctx = w.ctx
     raw = [const] + [0] * (ctx.precision - 1)
     power, done = w, 1
     for n, s, c in terms:
         if n > done:
-            power = power * (w if n == done + 1 else w ** (n - done))
+            power = power * w ** (n - done)
             done = n
         raw[s:] = [r + c * d for r, d in zip(raw[s:], power.digits)]
     return normalize(raw, ctx)

@@ -250,6 +250,12 @@ class TestTableCommand:
         assert code == 4
         assert "cap" in err
 
+    def test_astronomical_count_exits_4(self, capsys):
+        # (p-1)*p^(N-2) has over 4300 digits, too many for str() of the exact count
+        code, out, err = run_cli(["table", "--p", "1048573", "--prec", "720"], capsys)
+        assert code == 4 and not out
+        assert err.startswith("error: enumeration of ") and "exceeds cap" in err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

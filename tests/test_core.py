@@ -290,6 +290,23 @@ class TestPow:
         a = random_element(rng, ctx)
         assert a ** 3 == a * a * a
 
+    def test_ladder_makes_no_wasted_products(self, monkeypatch):
+        # left to right from a: bit_length - 1 squarings and popcount - 1 products
+        ctx = Context(5, 6)
+        a = random_element(random.Random(43), ctx)
+        calls = []
+        mul = PiElement.__mul__
+
+        def counting(x, y):
+            calls.append(1)
+            return mul(x, y)
+
+        monkeypatch.setattr(PiElement, "__mul__", counting)
+        for e in range(1, 41):
+            calls.clear()
+            a ** e
+            assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Context(3, 6).one() ** -1

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from cyclolog import (
     run_all,
 )
 from cyclolog import verify
-from cyclolog.verify import _closure_misses
+from cyclolog.verify import _image_mismatch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -43,6 +44,14 @@ class TestAnnulusImage:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             check_annulus_image(Context(3, 8), cap=100)
+
+    def test_cap_on_an_astronomical_count(self):
+        # (p-1)*p^(N-2) here has over 4300 digits; the count stops growing past
+        # the cap, so the exception is raised at once and prints
+        with pytest.raises(CapExceeded) as info:
+            check_annulus_image(Context(1048573, 720), cap=1)
+        assert info.value.required > 10**18
+        assert str(info.value).endswith("exceeds cap 1")
 
 
 class TestSquareIso:
@@ -141,6 +150,44 @@ class TestRunAll:
         skipped = {c.name: c.counts["required"] for c in report.checks if c.counts.get("skipped")}
         assert skipped == required
         assert skipped["lift_independence"] == 64 and skipped["preimage_soundness"] == 4200
+
+    def test_skip_marker_of_an_astronomical_count_serializes(self, monkeypatch):
+        # only the two sampled checks that ignore the cap run; stub them, since
+        # 80 plogs at N = 720 take minutes
+        for name in ("exp_log_roundtrip", "log_homomorphism"):
+            stub = lambda ctx, rng, name=name: verify.CheckResult(name, True)
+            monkeypatch.setattr(verify, f"_check_{name}", stub)
+        report = run_all(Context(1048573, 720), seed=0, cap=1)
+        checks = {c["name"]: c for c in json.loads(report.to_json())["checks"]}
+        annulus = checks["annulus_image"]
+        assert annulus["counts"]["skipped"] == 1 and annulus["counts"]["required"] > 10**18
+        assert annulus["witnesses"][0].endswith("exceeds cap 1")
+        assert checks["full_image_and_index"]["counts"]["skipped"] == 1
+
+    def test_enumeration_count_is_exact_up_to_the_bound(self):
+        for p, lead, exponent in [(3, 2, 6), (211, 210, 2), (1048573, 1, 3), (3, 1, 37)]:
+            assert verify._enumeration_count(lead, p, exponent, 1) == lead * p**exponent
+        assert verify._enumeration_count(2, 3, 80, 10**40) == 2 * 3**80
+        assert 10**18 < verify._enumeration_count(2, 3, 9100, 1) < 3 * 10**18
+
+    def test_digit2_formula_samples_pairs_past_4096(self):
+        result = verify._check_digit2_formula(
+            Context(1009, 4), random.Random("0:digit2_formula"), verify.DEFAULT_CAP
+        )
+        assert result.passed and result.counts == {"samples": 4096, "failures": 0}
+
+    def test_digit2_formula_sampling_catches_a_wrong_digit(self, monkeypatch):
+        real = verify.log_digit_formula
+
+        def wrong_for_a1_5(a1, a2, ctx):
+            return (real(a1, a2, ctx) + (a1 == 5)) % ctx.p
+
+        monkeypatch.setattr(verify, "log_digit_formula", wrong_for_a1_5)
+        result = verify._check_digit2_formula(
+            Context(1009, 4), random.Random("0:digit2_formula"), verify.DEFAULT_CAP
+        )
+        assert not result.passed and result.counts["samples"] == 4096
+        assert 0 < result.counts["failures"] < 4096
 
     def test_lift_independence_pads_to_twice_the_precision(self):
         # a pad of 2N keeps the check's cost (2N)^2 independent of p
@@ -241,13 +288,14 @@ def _m_squared(ctx):
 
 
 class TestClosureCertificate:
+    # the set identity image == m_K^2 against the pairwise closure reference
     @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4)])
     def test_real_image_agrees_with_pairwise(self, p, n):
         ctx = Context(p, n)
         units = itertools.product(range(p), repeat=n - 1)
         image = {plog(PiElement((1,) + rest, ctx)).digits for rest in units}
         assert image == _m_squared(ctx)
-        assert _closure_misses(ctx, image) == []
+        assert _image_mismatch(ctx, image) == (set(), set())
         assert _pairwise_closure_failures(image, ctx) == 0
 
     @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4)])
@@ -255,27 +303,31 @@ class TestClosureCertificate:
         ctx = Context(p, n)
         missing = (0, 0, 1) + (0,) * (n - 3)
         broken = _m_squared(ctx) - {missing}
-        assert missing in _closure_misses(ctx, broken)
+        assert _image_mismatch(ctx, broken) == (set(), {missing})
         assert _pairwise_closure_failures(broken, ctx) > 0
 
     @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4)])
     def test_m_squared_plus_pi_fails_both(self, p, n):
         ctx = Context(p, n)
-        broken = _m_squared(ctx) | {(0, 1) + (0,) * (n - 2)}
-        assert _closure_misses(ctx, broken)
+        pi = (0, 1) + (0,) * (n - 2)
+        broken = _m_squared(ctx) | {pi}
+        assert _image_mismatch(ctx, broken) == ({pi}, set())
         assert _pairwise_closure_failures(broken, ctx) > 0
 
     def test_zero_is_required(self):
         ctx = Context(3, 5)
-        assert _closure_misses(ctx, set()) == [(0,) * 5]
+        outside, missing = _image_mismatch(ctx, set())
+        assert not outside and (0,) * 5 in missing and len(missing) == 27
 
     @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4)])
     def test_proper_subgroup_m_cubed_is_flagged(self, p, n):
-        # m_K^3 is closed under addition, so only the pi^2 generator exposes it
+        # m_K^3 is closed under addition, so the pairwise test passes it
         ctx = Context(p, n)
         m_cubed = {d for d in _m_squared(ctx) if d[2] == 0}
         assert _pairwise_closure_failures(m_cubed, ctx) == 0
-        assert (0, 0, 1) + (0,) * (n - 3) in _closure_misses(ctx, m_cubed)
+        outside, missing = _image_mismatch(ctx, m_cubed)
+        assert not outside and (0, 0, 1) + (0,) * (n - 3) in missing
+        assert len(missing) == p ** (n - 2) - p ** (n - 3)
 
 
 class TestWitnessCap:
