@@ -6,7 +6,7 @@ in [0, p), standing for sum(d_i * pi^i).  The single carry rule
 
     p * pi^j  =  -pi^(j + p - 1)
 
-is applied only inside :func:`normalize`; nothing else in the package ever
+is applied only inside :func:`_canonical`; nothing else in the package ever
 stores a digit outside [0, p).  Carries move strictly upward, so one pass in
 increasing position order canonicalizes any integer vector, and carries that
 land at or beyond the precision are exact multiples of pi^N and get dropped.
@@ -84,7 +84,7 @@ class Context:
         """Image of a rational integer, canonicalized by the carry rule."""
         if not isinstance(n, int):
             raise TypeError(f"expected int, got {type(n).__name__}")
-        return normalize([n], self)
+        return _canonical([n], self)
 
     def element(self, raw: Sequence[int]) -> PiElement:
         """Same as :func:`normalize` with this context."""
@@ -94,7 +94,9 @@ class Context:
         return parse_digits(text, self)
 
 
-def _normalize_digits(raw: Iterable[int], p: int, n: int) -> tuple[int, ...]:
+def _canonical(raw: Iterable[int], ctx: Context) -> PiElement:
+    """The one carry pass: every computed integer vector becomes an element here."""
+    p, n = ctx.p, ctx.precision
     buf = list(raw)
     buf.extend(0 for _ in range(n - len(buf)))
     shift = p - 1
@@ -107,7 +109,7 @@ def _normalize_digits(raw: Iterable[int], p: int, n: int) -> tuple[int, ...]:
         k = j + shift
         if k < n:
             buf[k] -= q
-    return tuple(buf)
+    return PiElement._make(tuple(buf), ctx)
 
 
 def normalize(raw: Sequence[int], ctx: Context) -> PiElement:
@@ -125,7 +127,7 @@ def normalize(raw: Sequence[int], ctx: Context) -> PiElement:
     for v in raw:
         if not isinstance(v, int):
             raise TypeError(f"digit entries must be int, got {type(v).__name__}")
-    return PiElement._make(_normalize_digits(raw, ctx.p, ctx.precision), ctx)
+    return _canonical(raw, ctx)
 
 
 class PiElement:
@@ -173,24 +175,21 @@ class PiElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        ctx = self.ctx
         raw = [a + b for a, b in zip(self.digits, rhs.digits)]
-        return PiElement._make(_normalize_digits(raw, ctx.p, ctx.precision), ctx)
+        return _canonical(raw, self.ctx)
 
     __radd__ = __add__
 
     def __neg__(self):
-        ctx = self.ctx
         raw = [-d for d in self.digits]
-        return PiElement._make(_normalize_digits(raw, ctx.p, ctx.precision), ctx)
+        return _canonical(raw, self.ctx)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        ctx = self.ctx
         raw = [a - b for a, b in zip(self.digits, rhs.digits)]
-        return PiElement._make(_normalize_digits(raw, ctx.p, ctx.precision), ctx)
+        return _canonical(raw, self.ctx)
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
@@ -211,7 +210,7 @@ class PiElement:
         a = int.from_bytes(struct.pack(limbs, *self.digits), "little")
         b = int.from_bytes(struct.pack(limbs, *rhs.digits), "little")
         raw = struct.unpack_from(limbs, (a * b).to_bytes(16 * n, "little"))
-        return PiElement._make(_normalize_digits(raw, ctx.p, n), ctx)
+        return _canonical(raw, ctx)
 
     __rmul__ = __mul__
 

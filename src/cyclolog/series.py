@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPrincipalUnit, ValuationTooSmall
-from .ring import Context, PiElement, PrincipalUnit, normalize
+from .ring import Context, PiElement, PrincipalUnit, _canonical
 
 
 def _floor_log(p: int, n: int) -> int:
@@ -90,8 +90,8 @@ def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> P
     """const + sum(c * pi^s * w^n for n, s, c in terms), with terms sorted by n.
 
     Each term adds c*d into raw[s + j] for each digit d = (w^n).digits[j],
-    j < N - s, and one normalize call carries the sum.  The digits match a
-    term-by-term ring sum: normalize canonicalizes any integer vector exactly,
+    j < N - s, and one _canonical call carries the sum.  The digits match a
+    term-by-term ring sum: _canonical canonicalizes any integer vector exactly,
     and pi^s * (c*w^n mod pi^N) = c*pi^s*w^n mod pi^N.  w^n costs one
     multiplication by w^(gap) per step, and w ** 1 is w, with no product.
     """
@@ -103,7 +103,7 @@ def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> P
             power = power * w ** (n - done)
             done = n
         raw[s:] = [r + c * d for r, d in zip(raw[s:], power.digits)]
-    return normalize(raw, ctx)
+    return _canonical(raw, ctx)
 
 
 def plog(u: PiElement) -> PiElement:
@@ -117,7 +117,7 @@ def plog(u: PiElement) -> PiElement:
         raise NotPrincipalUnit(f"digit 0 is {u.digits[0]}, expected 1")
     ctx = u.ctx
     p, N = ctx.p, ctx.precision
-    x = u - 1
+    x = PiElement._make((0,) + u.digits[1:], ctx)  # u - 1, already canonical
     v = x.valuation()
     terms = []
     k = 0

@@ -241,6 +241,28 @@ class TestSingleCarryPass:
         assert got == want
 
 
+class TestCarryFreeUnitMinusOne:
+    # u - 1 is u's digits with digit 0 cleared, so plog needs no ring
+    # subtraction and no integer coercion to build it
+    @pytest.mark.parametrize("p,n", [(3, 8), (7, 5), (101, 32), (1048573, 16)])
+    def test_plog_digits_without_subtraction(self, p, n, monkeypatch):
+        ctx = Context(p, n)
+        rng = random.Random(41)
+        units = []
+        for v in (1, 2, 3):
+            w = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(n - v - 1))
+            units.append(PiElement((1,) + (0,) * (v - 1) + w, ctx))
+        want = [plog(u).digits for u in units]
+
+        def forbidden(*args):
+            raise AssertionError("plog must not subtract or coerce an integer")
+
+        monkeypatch.setattr(PiElement, "__sub__", forbidden)
+        monkeypatch.setattr(PiElement, "__rsub__", forbidden)
+        monkeypatch.setattr(Context, "from_integer", forbidden)
+        assert [plog(u).digits for u in units] == want
+
+
 class TestDigitFormulas:
     def test_log_digit_formula_examples(self):
         assert log_digit_formula(1, 0, Context(5, 5)) == 2

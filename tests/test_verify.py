@@ -137,6 +137,8 @@ class TestRunAll:
             "square_isomorphism": p ** (n - 2),
             "full_image_and_index": p ** (n - 1),
             "residue_field": p,
+            "exp_log_roundtrip": n * n,
+            "log_homomorphism": n * n,
             "digit2_formula": p * p,
             "lift_independence": (2 * n) ** 2,
             "preimage_soundness": 20 * (p - 1),
@@ -146,17 +148,19 @@ class TestRunAll:
         }
         report = run_all(Context(p, n), seed=0, cap=1)
         ran = [c.name for c in report.checks if not c.counts.get("skipped")]
-        assert ran == ["exp_log_roundtrip", "log_homomorphism"]
+        assert ran == []
         skipped = {c.name: c.counts["required"] for c in report.checks if c.counts.get("skipped")}
         assert skipped == required
         assert skipped["lift_independence"] == 64 and skipped["preimage_soundness"] == 4200
+        assert skipped["exp_log_roundtrip"] == skipped["log_homomorphism"] == 16
 
-    def test_skip_marker_of_an_astronomical_count_serializes(self, monkeypatch):
-        # only the two sampled checks that ignore the cap run; stub them, since
-        # 80 plogs at N = 720 take minutes
+    def test_cap_bounds_the_sampled_checks_that_grow_with_n(self):
+        # 80 plogs at N = 720 take minutes, so these two checks charge N^2
+        checks = {c.name: c for c in run_all(Context(3, 16), seed=0, cap=100).checks}
         for name in ("exp_log_roundtrip", "log_homomorphism"):
-            stub = lambda ctx, rng, name=name: verify.CheckResult(name, True)
-            monkeypatch.setattr(verify, f"_check_{name}", stub)
+            assert checks[name].counts == {"skipped": 1, "required": 256, "cap": 100}
+
+    def test_skip_marker_of_an_astronomical_count_serializes(self):
         report = run_all(Context(1048573, 720), seed=0, cap=1)
         checks = {c["name"]: c for c in json.loads(report.to_json())["checks"]}
         annulus = checks["annulus_image"]
