@@ -10,7 +10,7 @@ tests/oracle_preimage.py keeps the paper's digit induction as the reference.
 from __future__ import annotations
 
 from .errors import BranchZero, NotInMSquared
-from .ring import Context, PiElement, PrincipalUnit
+from .ring import Context, PiElement, PrincipalUnit, normalize
 from .series import pexp, plog
 
 
@@ -60,13 +60,13 @@ def preimage(y: PiElement, branch: int) -> PrincipalUnit:
     So r matches the digit induction of the paper digit for digit.
     """
     ctx = y.ctx
-    p, N = ctx.p, ctx.precision
+    p = ctx.p
     if y.digits[0] != 0 or y.digits[1] != 0:
         raise NotInMSquared("target digits 0 and 1 must be zero")
     if not 1 <= branch < p:
         raise BranchZero(f"branch must lie in [1, {p}), got {branch}")
-    u = PiElement._make((1, branch) + (0,) * (N - 2), ctx)
-    return PrincipalUnit.from_element(u * pexp(y - plog(u)))
+    u = normalize([1, branch], ctx)
+    return PrincipalUnit._make((u * pexp(y - plog(u))).digits, ctx)
 
 
 def preimage_all(y: PiElement) -> list[PrincipalUnit]:
@@ -87,5 +87,5 @@ def roots_of_unity(ctx: Context) -> list[PrincipalUnit]:
     z = preimage(ctx.zero(), 1)
     roots = [z]
     for _ in range(ctx.p - 2):
-        roots.append(PrincipalUnit.from_element(roots[-1] * z))
+        roots.append(PrincipalUnit._make((roots[-1] * z).digits, ctx))
     return roots

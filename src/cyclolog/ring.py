@@ -10,14 +10,18 @@ is applied only inside :func:`_canonical`; nothing else in the package ever
 stores a digit outside [0, p).  Carries move strictly upward, so one pass in
 increasing position order canonicalizes any integer vector, and carries that
 land at or beyond the precision are exact multiples of pi^N and get dropped.
+Outside integers enter only through PiElement(...) and normalize, which read
+each with operator.index: a bool becomes 0 or 1, a non-integer raises
+TypeError.  Elements the package computes are never checked again.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import (
     ContextMismatch,
@@ -82,9 +86,7 @@ class Context:
 
     def from_integer(self, n: int) -> PiElement:
         """Image of a rational integer, canonicalized by the carry rule."""
-        if not isinstance(n, int):
-            raise TypeError(f"expected int, got {type(n).__name__}")
-        return _canonical([n], self)
+        return normalize([n], self)
 
     def element(self, raw: Sequence[int]) -> PiElement:
         """Same as :func:`normalize` with this context."""
@@ -124,10 +126,7 @@ def normalize(raw: Sequence[int], ctx: Context) -> PiElement:
         raise ValueError(
             f"raw vector of length {len(raw)} exceeds precision {ctx.precision}"
         )
-    for v in raw:
-        if not isinstance(v, int):
-            raise TypeError(f"digit entries must be int, got {type(v).__name__}")
-    return _canonical(raw, ctx)
+    return _canonical(map(operator.index, raw), ctx)
 
 
 class PiElement:
@@ -140,14 +139,14 @@ class PiElement:
     __slots__ = ("digits", "ctx")
 
     def __init__(self, digits: Sequence[int], ctx: Context):
-        digits = tuple(digits)
+        digits = tuple(map(operator.index, digits))
         if len(digits) != ctx.precision:
             raise ValueError(
                 f"need exactly {ctx.precision} digits, got {len(digits)}"
             )
         p = ctx.p
         for d in digits:
-            if not isinstance(d, int) or d < 0 or d >= p:
+            if d < 0 or d >= p:
                 raise ValueError(
                     f"digit {d!r} outside [0, {p}); use normalize() for raw vectors"
                 )

@@ -150,7 +150,7 @@ def pexp(x: PiElement) -> PrincipalUnit:
         s = n * v - (p - 1) * k
         if s < N:
             terms.append((n, s, (-1) ** k * _integer_inverse(m, ctx)))
-    return PrincipalUnit.from_element(_shift_sum(1, x.div_pi_power(v), terms))
+    return PrincipalUnit._make(_shift_sum(1, x.div_pi_power(v), terms).digits, ctx)
 
 
 def log_digit_formula(a1: int, a2: int, ctx: Context) -> int:

@@ -11,8 +11,8 @@ run_all adds seeded property suites for the series and preimage modules.  Each
 sampled check is a stream of (ok, witnesses) trials counted by one tally,
 _tally, and draws from a stream of its own, random.Random(f"{seed}:{name}"),
 so its report depends only on (p, N, seed, its name).  The roots of unity are
-certified like the image, by a generator: the first root z has z^p = 1 and
-z != 1, and z times each element of the group stays in it.  The cap bounds
+certified by a generator: the first root z has z^p = 1 and z != 1, and z
+times each element of the group stays in it.  The cap bounds
 every check whose work grows with p or N, the sampled ones included (the
 round-trip and homomorphism checks count N^2), and run_all records a
 skipped-check marker instead of raising on a cap violation.

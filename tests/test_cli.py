@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cyclolog import Context, parse_digits, plog
-from cyclolog import cli
+from cyclolog import cli, verify
 from cyclolog.cli import main
 from cyclolog.errors import CapExceeded, CyclologError, DigitStringError
 
@@ -194,6 +194,38 @@ class TestVerifyCommand:
         golden = Path(__file__).parent / "golden" / "verify_p3_n6_seed0.json"
         assert code == 0
         assert out == golden.read_text()
+
+    def test_failing_human_output_matches_golden(self, capsys, monkeypatch):
+        # the fault of tests/test_verify.py's failing golden: plog off by
+        # pi^(N-1) on every unit whose top digit is 1
+        real = verify.plog
+
+        def faulty(u):
+            y = real(u)
+            if u.digits[-1] == 1:
+                return y + u.ctx.uniformizer().mul_pi_power(u.ctx.precision - 2)
+            return y
+
+        monkeypatch.setattr(verify, "plog", faulty)
+        code, out, _ = run_cli(["verify", "--p", "5", "--prec", "5", "--seed", "3"], capsys)
+        golden = Path(__file__).parent / "golden" / "verify_p5_n5_seed3_faulty_plog.json"
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == "p=5 precision=5 seed=3"
+        assert lines[-1] == "some checks FAILED"
+        rows, statuses, witness_lines = {}, {}, 0
+        for line in lines[1:-1]:
+            if line.startswith("    witness: "):
+                rows[name].append(line[len("    witness: "):])
+                witness_lines += 1
+            else:
+                name, statuses[name] = line.split()[:2]
+                rows[name] = []
+        checks = json.loads(golden.read_text())["checks"]
+        assert witness_lines == 34
+        assert list(rows) == [c["name"] for c in checks]
+        assert rows == {c["name"]: c["witnesses"] for c in checks}
+        assert statuses == {c["name"]: "PASS" if c["passed"] else "FAIL" for c in checks}
 
 
 class TestGoldenOutput:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,12 +9,14 @@ from cyclolog import (
     DigitStringError,
     NotAUnit,
     NotDivisible,
+    NotPrincipalUnit,
     PiElement,
     PrincipalUnit,
     format_digits,
     normalize,
     parse_digits,
 )
+from cyclolog.ring import PRECISION_CAP
 
 
 def schoolbook_mul(a, b):
@@ -133,6 +136,23 @@ class TestRingOps:
             assert a * c == a * ctx.from_integer(c)
             assert c * a == a * c
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a: a + 1.5,
+            lambda a: 1.5 + a,
+            lambda a: a - 1.5,
+            lambda a: 1.5 - a,
+            lambda a: a * 1.5,
+            lambda a: 1.5 * a,
+            lambda a: a ** 1.5,
+            lambda a: a + "1",
+        ],
+    )
+    def test_unsupported_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(Context(5, 4).one())
+
     def test_context_mismatch_raises(self):
         a = Context(3, 6).one()
         b = Context(3, 7).one()
@@ -241,6 +261,10 @@ class TestDivision:
         with pytest.raises(NotDivisible):
             ctx.one().div_pi_power(1)
 
+    def test_negative_shift_rejected(self):
+        with pytest.raises(ValueError):
+            Context(3, 6).one().div_pi_power(-1)
+
     def test_div_p_examples(self):
         ctx = Context(5, 6)
         big = Context(5, 10)
@@ -330,6 +354,23 @@ class TestContext:
     def test_ramification_index(self):
         assert Context(7, 5).e == 6
 
+    def test_rejects_precision_over_the_cap_before_allocating(self):
+        Context(3, PRECISION_CAP)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"at most 2\*\*24"):
+                Context(3, PRECISION_CAP + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one digit tuple at this precision alone would take 128 MiB
+        assert peak < 1 << 20
+
+    def test_parse_matches_parse_digits(self):
+        ctx = Context(5, 4)
+        assert ctx.parse("1,3") == parse_digits("1,3", ctx)
+        assert ctx.parse("1,3").digits == (1, 3, 0, 0)
+
 
 class TestDigitStrings:
     def test_roundtrip(self):
@@ -365,6 +406,10 @@ class TestDigitStrings:
         with pytest.raises(DigitStringError):
             parse_digits("1,0,0,0,0", ctx)
 
+    def test_repr(self):
+        a = parse_digits("1,3,0,2", Context(5, 4))
+        assert repr(a) == "PiElement('1,3,0,2', p=5)"
+
     def test_expansion_pretty_printer(self):
         ctx = Context(5, 6)
         assert parse_digits("1,3,0,2", ctx).expansion() == "1 + 3·π + 2·π^3"
@@ -385,6 +430,14 @@ class TestElementTypes:
         assert u == a
         assert hash(u) == hash(a)
 
+    def test_from_element_checks_the_leading_digit(self):
+        ctx = Context(5, 4)
+        u = PrincipalUnit.from_element(normalize([1, 2], ctx))
+        assert type(u) is PrincipalUnit
+        assert u.digits == (1, 2, 0, 0)
+        with pytest.raises(NotPrincipalUnit):
+            PrincipalUnit.from_element(ctx.zero())
+
     def test_constructor_validates_digits(self):
         ctx = Context(3, 4)
         with pytest.raises(ValueError):
@@ -398,3 +451,59 @@ class TestElementTypes:
         up = a.resize(9)
         assert up.digits == (1, 2, 0, 1, 0, 2, 0, 0, 0)
         assert up.resize(6) == a
+
+
+class TestIntegerBoundary:
+    """Outside integers are read with operator.index, once, at the constructors."""
+
+    @staticmethod
+    def assert_exact_ints(a, digits):
+        assert a.digits == digits
+        assert all(type(d) is int for d in a.digits)
+
+    def test_bools_become_zero_and_one(self):
+        ctx = Context(5, 4)
+        assert str(normalize([True, False], ctx)) == "1,0,0,0"
+        self.assert_exact_ints(normalize([True, False], ctx), (1, 0, 0, 0))
+        assert str(PiElement((1, True, 0, False), ctx)) == "1,1,0,0"
+        self.assert_exact_ints(PiElement((1, True, 0, False), ctx), (1, 1, 0, 0))
+        self.assert_exact_ints(PrincipalUnit((True, 0, 0, 0), ctx), (1, 0, 0, 0))
+        self.assert_exact_ints(ctx.from_integer(True), (1, 0, 0, 0))
+        self.assert_exact_ints(ctx.element([False, True]), (0, 1, 0, 0))
+        self.assert_exact_ints(ctx.one() * True, (1, 0, 0, 0))
+
+    def test_integer_likes_are_read_with_index(self):
+        class Index:
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        ctx = Context(3, 6)
+        self.assert_exact_ints(normalize([Index(3)], ctx), (0, 0, 2, 0, 1, 0))
+        self.assert_exact_ints(ctx.from_integer(Index(-1)), (2, 0, 1, 0, 0, 0))
+        self.assert_exact_ints(PiElement([Index(2)] + [0] * 5, ctx), (2, 0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", None])
+    def test_non_integers_raise_type_error(self, bad):
+        ctx = Context(5, 4)
+        with pytest.raises(TypeError):
+            PiElement((1, bad, 0, 0), ctx)
+        with pytest.raises(TypeError):
+            PrincipalUnit((1, bad, 0, 0), ctx)
+        with pytest.raises(TypeError):
+            normalize([1, bad], ctx)
+        with pytest.raises(TypeError):
+            ctx.from_integer(bad)
+
+    def test_range_and_length_errors_keep_their_messages(self):
+        ctx = Context(3, 4)
+        with pytest.raises(ValueError, match=r"digit 3 outside \[0, 3\)"):
+            PiElement((0, 3, 0, 0), ctx)
+        with pytest.raises(ValueError, match="digit -1 outside"):
+            PiElement((0, -1, 0, 0), ctx)
+        with pytest.raises(ValueError, match="need exactly 4 digits, got 3"):
+            PiElement((0, 0, 0), ctx)
+        with pytest.raises(ValueError, match="exceeds precision 4"):
+            normalize([0] * 5, ctx)

@@ -8,9 +8,11 @@ from cyclolog import (
     Context,
     NotInMSquared,
     PiElement,
+    PrincipalUnit,
     digit2_for_branch,
     log_digit_formula,
     normalize,
+    pexp,
     plog,
     preimage,
     preimage_all,
@@ -42,6 +44,11 @@ class TestDigit2ForBranch:
         with pytest.raises(BranchZero):
             digit2_for_branch(0, 0, Context(5, 5))
 
+    @pytest.mark.parametrize("y2", [-1, 5])
+    def test_y2_outside_the_residue_field_rejected(self, y2):
+        with pytest.raises(ValueError, match="y2 must lie in"):
+            digit2_for_branch(y2, 1, Context(5, 5))
+
 
 class TestQrPairEnumeration:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -60,6 +67,11 @@ class TestQrPairEnumeration:
             assert pairs == {
                 (a1, digit2_for_branch(y2, a1, ctx)) for a1 in range(1, p)
             }
+
+    @pytest.mark.parametrize("y2", [-1, 5])
+    def test_y2_outside_the_residue_field_rejected(self, y2):
+        with pytest.raises(ValueError, match="y2 must lie in"):
+            qr_pair_enumeration(y2, Context(5, 5))
 
     def test_p3_y2_zero(self):
         assert qr_pair_enumeration(0, Context(3, 6)) == {(1, 2), (2, 2)}
@@ -120,6 +132,17 @@ class TestPreimage:
             preimage(ctx.zero(), 0)
         with pytest.raises(BranchZero):
             preimage(ctx.zero(), 5)
+
+    def test_non_integer_branch_raises_type_error(self):
+        ctx = Context(5, 5)
+        with pytest.raises(TypeError):
+            preimage(ctx.zero(), 2.0)
+
+    def test_bool_branch_is_branch_one(self):
+        ctx = Context(5, 5)
+        r = preimage(ctx.zero(), True)
+        assert r == preimage(ctx.zero(), 1)
+        assert all(type(d) is int for d in r.digits)
 
     def test_deterministic(self):
         ctx = Context(5, 6)
@@ -220,3 +243,24 @@ class TestRootsOfUnity:
         ctx = Context(p, n)
         roots = roots_of_unity(ctx)
         assert [z.digits for z in roots] == [u.digits for u in preimage_all(ctx.zero())]
+
+
+class TestComputedUnitsSkipRevalidation:
+    # pexp, preimage and roots_of_unity wrap digits that are canonical and
+    # start with 1 by construction; none of them runs the PrincipalUnit checks
+    @pytest.mark.parametrize("p,n", [(3, 8), (7, 5), (101, 8)])
+    def test_results_match_without_the_constructor(self, p, n, monkeypatch):
+        ctx = Context(p, n)
+        y = random_target(random.Random(97), ctx)
+        expected = (pexp(y), preimage_all(y), roots_of_unity(ctx))
+
+        def refuse(self, digits, ctx):
+            raise AssertionError("computed unit re-validated")
+
+        monkeypatch.setattr(PrincipalUnit, "__init__", refuse)
+        got = (pexp(y), preimage_all(y), roots_of_unity(ctx))
+        assert got == expected
+        for unit in [got[0], *got[1], *got[2]]:
+            assert type(unit) is PrincipalUnit
+            assert unit.digits[0] == 1
+            assert all(type(d) is int and 0 <= d < p for d in unit.digits)
