@@ -31,8 +31,9 @@ from .errors import (
     NotPrincipalUnit,
 )
 
-# p**2 convolution limbs must stay below the 64-bit pack width used by mul:
-# precision * (p-1)**2 < 2**64 holds whenever p <= 2**20 and N <= 2**24.
+# _mul packs digits into 64-bit limbs; limb j < n of a length-n product sums at
+# most n terms of at most (p-1)**2, and n * (p-1)**2 <= N * (p-1)**2 < 2**64
+# whenever p <= 2**20 and N <= 2**24, so the bound holds at every n <= N.
 P_CAP = 1 << 20
 PRECISION_CAP = 1 << 24
 
@@ -96,11 +97,13 @@ class Context:
         return parse_digits(text, self)
 
 
-def _canonical(raw: Iterable[int], ctx: Context) -> PiElement:
-    """The one carry pass: every computed integer vector becomes an element here."""
-    p, n = ctx.p, ctx.precision
+def _canonical(raw: Iterable[int], p: int, n: int) -> tuple[int, ...]:
+    """The one carry pass: canonical digits of sum(raw[i] * pi^i) mod pi^n.
+
+    Every computed integer vector becomes canonical here, at any length n >= 1.
+    """
     buf = list(raw)
-    buf.extend(0 for _ in range(n - len(buf)))
+    buf += [0] * (n - len(buf))
     shift = p - 1
     for j in range(n):
         v = buf[j]
@@ -111,7 +114,20 @@ def _canonical(raw: Iterable[int], ctx: Context) -> PiElement:
         k = j + shift
         if k < n:
             buf[k] -= q
-    return PiElement._make(tuple(buf), ctx)
+    return tuple(buf)
+
+
+def _mul(a: Sequence[int], b: Sequence[int], p: int, n: int) -> tuple[int, ...]:
+    """Canonical digits of a*b mod pi^n from the first n digits of a and b.
+
+    Works at any length n >= 1 and builds no Context.  The digit convolution
+    is one big-integer product (Kronecker substitution), packed and unpacked
+    as little-endian 64-bit limbs by struct; P_CAP bounds the limbs.
+    """
+    limbs = f"<{n}Q"
+    x = int.from_bytes(struct.pack(limbs, *a[:n]), "little")
+    y = int.from_bytes(struct.pack(limbs, *b[:n]), "little")
+    return _canonical(struct.unpack_from(limbs, (x * y).to_bytes(16 * n, "little")), p, n)
 
 
 def normalize(raw: Sequence[int], ctx: Context) -> PiElement:
@@ -126,7 +142,9 @@ def normalize(raw: Sequence[int], ctx: Context) -> PiElement:
         raise ValueError(
             f"raw vector of length {len(raw)} exceeds precision {ctx.precision}"
         )
-    return _canonical(map(operator.index, raw), ctx)
+    return PiElement._make(
+        _canonical(map(operator.index, raw), ctx.p, ctx.precision), ctx
+    )
 
 
 class PiElement:
@@ -174,21 +192,24 @@ class PiElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        ctx = self.ctx
         raw = [a + b for a, b in zip(self.digits, rhs.digits)]
-        return _canonical(raw, self.ctx)
+        return PiElement._make(_canonical(raw, ctx.p, ctx.precision), ctx)
 
     __radd__ = __add__
 
     def __neg__(self):
+        ctx = self.ctx
         raw = [-d for d in self.digits]
-        return _canonical(raw, self.ctx)
+        return PiElement._make(_canonical(raw, ctx.p, ctx.precision), ctx)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        ctx = self.ctx
         raw = [a - b for a, b in zip(self.digits, rhs.digits)]
-        return _canonical(raw, self.ctx)
+        return PiElement._make(_canonical(raw, ctx.p, ctx.precision), ctx)
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
@@ -201,15 +222,7 @@ class PiElement:
         if rhs is None:
             return NotImplemented
         ctx = self.ctx
-        # digit convolution via one big-integer product (Kronecker substitution),
-        # packed and unpacked as little-endian 64-bit limbs by struct;
-        # limbs stay below 2**64 by the Context caps on p and precision
-        n = ctx.precision
-        limbs = f"<{n}Q"
-        a = int.from_bytes(struct.pack(limbs, *self.digits), "little")
-        b = int.from_bytes(struct.pack(limbs, *rhs.digits), "little")
-        raw = struct.unpack_from(limbs, (a * b).to_bytes(16 * n, "little"))
-        return _canonical(raw, ctx)
+        return PiElement._make(_mul(self.digits, rhs.digits, ctx.p, ctx.precision), ctx)
 
     __rmul__ = __mul__
 

@@ -6,6 +6,14 @@ an upward shift, so no digit is forgotten and no working-precision lift is
 needed.  The top v digits of w are unknown, but pi^s * w^n mod pi^N needs
 w^n only mod pi^(N-s).  Terms with s >= N are multiples of pi^N and skipped;
 the rest add their digits into one integer vector, which is carried once.
+
+Two facts keep the powers small.  Each w^n is formed only to the digits a
+later term reads, need[i] = max(N - s_j for j >= i), by the length-n kernel
+ring._mul.  And where N - s <= p - 1, p = 0 mod pi^(N-s), so the term lives
+in F_p[pi]; for p | n, Frobenius collapses w^n to the integer w_0^n mod p,
+and the term is one digit at position s.  When N <= p - 1 and v = 1 that is
+the term n = p, x^p/p = -pi * w^p: digit 1 of the log is a1 - a1^p = 0,
+the Fermat cancellation that puts the image in m^2.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPrincipalUnit, ValuationTooSmall
-from .ring import Context, PiElement, PrincipalUnit, _canonical
+from .ring import Context, PiElement, PrincipalUnit, _canonical, _mul
 
 
 def _floor_log(p: int, n: int) -> int:
@@ -86,24 +94,57 @@ def _integer_inverse(m: int, ctx: Context) -> int:
     return pow(m, -1, ctx.p ** M)
 
 
+def _pow(a: tuple[int, ...], e: int, p: int, n: int) -> tuple[int, ...]:
+    """Canonical digits of a**e mod pi^n for e >= 1, left to right from a,
+    as PiElement.__pow__ does at full precision."""
+    result = a[:n]
+    for bit in bin(e)[3:]:
+        result = _mul(result, result, p, n)
+        if bit == "1":
+            result = _mul(result, a, p, n)
+    return result
+
+
 def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> PiElement:
     """const + sum(c * pi^s * w^n for n, s, c in terms), with terms sorted by n.
 
     Each term adds c*d into raw[s + j] for each digit d = (w^n).digits[j],
     j < N - s, and one _canonical call carries the sum.  The digits match a
     term-by-term ring sum: _canonical canonicalizes any integer vector exactly,
-    and pi^s * (c*w^n mod pi^N) = c*pi^s*w^n mod pi^N.  w^n costs one
-    multiplication by w^(gap) per step, and w ** 1 is w, with no product.
+    and pi^s * (c*w^n mod pi^N) = c*pi^s*w^n mod pi^N.
+
+    A term reads only N - s digits of w^n, so w^n is formed mod pi^need[i]
+    with need[i] = max(N - s_j for j >= i): the lengths never grow, and the
+    next power is this one times w^(gap), a binary power at the same length.
+    Where N - s <= p - 1, p is 0 mod pi^(N-s) and w^n is taken in F_p[pi].
+    For n = p^k * m with k >= 1, Frobenius makes w^n = (w^m)^(p^k) the sum of
+    b_i^(p^k) * pi^(i*p^k) over the digits b_i of w^m; pi^(p^k) vanishes, so
+    w^n = b_0^(p^k) = w_0^n mod p.  Such a term is the single digit
+    c * w_0^n mod p at position s, and forms no power.  In plog with v = 1 the
+    term n = p has s = 1 and c = -1: it adds -a1^p to the a1 of the term
+    n = 1, so digit 1 is a1 - a1^p = 0 mod p.
     """
     ctx = w.ctx
-    raw = [const] + [0] * (ctx.precision - 1)
-    power, done = w, 1
-    for n, s, c in terms:
+    p, N = ctx.p, ctx.precision
+    wd = w.digits
+    raw = [const] + [0] * (N - 1)
+    need, most = [], 0  # need 0 marks a Frobenius digit
+    for n, s, _ in reversed(terms):
+        if N - s < p and n % p == 0:
+            need.append(0)
+        else:
+            most = max(most, N - s)
+            need.append(most)
+    power, done = wd, 1
+    for (n, s, c), length in zip(terms, reversed(need)):
+        if not length:
+            raw[s] += c * pow(wd[0], n, p)
+            continue
         if n > done:
-            power = power * w ** (n - done)
+            power = _mul(power, _pow(wd, n - done, p, length), p, length)
             done = n
-        raw[s:] = [r + c * d for r, d in zip(raw[s:], power.digits)]
-    return _canonical(raw, ctx)
+        raw[s:] = [r + c * d for r, d in zip(raw[s:], power)]
+    return PiElement._make(_canonical(raw, p, N), ctx)
 
 
 def plog(u: PiElement) -> PiElement:

@@ -16,7 +16,7 @@ from cyclolog import (
     normalize,
     parse_digits,
 )
-from cyclolog.ring import PRECISION_CAP
+from cyclolog.ring import PRECISION_CAP, _mul
 
 
 def schoolbook_mul(a, b):
@@ -126,6 +126,20 @@ class TestRingOps:
         # every digit p - 1 gives the largest convolution limbs the codec carries
         top = PiElement((p - 1,) * n, ctx)
         assert top * top == schoolbook_mul(top, top)
+
+    @pytest.mark.parametrize("p,n", [(3, 8), (7, 5), (101, 32)])
+    def test_kernel_at_every_length(self, p, n):
+        # _mul(a, b, p, k) is a*b mod pi^k: the first k digits of the
+        # canonical full-length product, at every k, including k < 4
+        ctx = Context(p, n)
+        rng = random.Random(23)
+        vectors = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(20)]
+        vectors.append((p - 1,) * n)
+        for a, b in zip(vectors, vectors[1:] + vectors[-1:]):
+            conv = [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(n)]
+            want = normalize(conv, ctx).digits
+            for k in range(1, n + 1):
+                assert _mul(a, b, p, k) == want[:k], k
 
     def test_int_scaling_matches_embedded_product(self):
         ctx = Context(5, 6)

@@ -13,10 +13,12 @@ from cyclolog import (
     normalize,
     pexp,
     plog,
+    preimage,
 )
 from cyclolog import series
 from cyclolog.series import _integer_inverse
 
+from oracle_charp import charp_exp_digits, charp_log_digits
 from oracle_series import naive_plog, poly_log_digits, term_by_term_sum
 
 
@@ -239,6 +241,114 @@ class TestSingleCarryPass:
         monkeypatch.setattr(series, "_shift_sum", term_by_term_sum)
         want = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
         assert got == want
+
+
+def units_of_valuation(rng, ctx, v):
+    """A unit 1 + pi^v * w and the element pi^v * w, with w a random unit."""
+    p, n = ctx.p, ctx.precision
+    w = (rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(n - v - 1))
+    head = (0,) * v
+    return PiElement((1,) + head[1:] + w, ctx), PiElement(head + w, ctx)
+
+
+class TestShortcutsMatchTermByTermSum:
+    # rows where the Frobenius digit and the shrinking precision both fire;
+    # the Fraction oracle is too slow here, so the reference is a ring sum
+    @pytest.mark.parametrize("p,n", [(3, 64), (7, 20), (13, 12), (101, 32)])
+    def test_matches_term_by_term_ring_sum(self, p, n, monkeypatch):
+        ctx = Context(p, n)
+        rng = random.Random(101)
+        cases = [units_of_valuation(rng, ctx, v) for v in (1, 1, 2, 3, 3)]
+        frobenius = []
+        shift_sum = series._shift_sum
+
+        def recording(const, w, terms):
+            frobenius.extend(n - s < p and m % p == 0 for m, s, _ in terms)
+            return shift_sum(const, w, terms)
+
+        monkeypatch.setattr(series, "_shift_sum", recording)
+        got = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
+        assert any(frobenius)
+        monkeypatch.setattr(series, "_shift_sum", term_by_term_sum)
+        want = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
+        assert got == want
+
+
+class TestSeriesKernelLengths:
+    def record_lengths(self, monkeypatch):
+        lengths = []
+        mul = series._mul
+
+        def recording(a, b, p, n):
+            lengths.append(n)
+            return mul(a, b, p, n)
+
+        monkeypatch.setattr(series, "_mul", recording)
+        return lengths
+
+    @pytest.mark.parametrize("p,n", [(101, 32), (1048573, 16)])
+    def test_no_product_for_the_p_th_term(self, p, n, monkeypatch):
+        # v = 1 plans n = 1 .. N-1 at s = n, and n = p at s = 1, a Frobenius
+        # digit; w^n for n >= 2 is one product at N - n digits
+        u, _ = units_of_valuation(random.Random(7), Context(p, n), 1)
+        lengths = self.record_lengths(monkeypatch)
+        plog(u)
+        assert lengths == list(range(n - 2, 0, -1))
+
+    def test_lengths_never_grow_within_a_call(self, monkeypatch):
+        ctx = Context(3, 64)
+        rng = random.Random(11)
+        lengths = self.record_lengths(monkeypatch)
+        for v in (1, 2, 3):
+            u, x = units_of_valuation(rng, ctx, v)
+            for f, arg in ((plog, u), (pexp, x)):
+                if f is pexp and v < 2:
+                    continue
+                lengths.clear()
+                f(arg)
+                assert lengths and max(lengths) <= ctx.precision
+                assert lengths == sorted(lengths, reverse=True), (f.__name__, v)
+
+
+# the grid rows with N <= p - 1, where the ring is F_p[pi]/pi^N
+CHARP_ROWS = [(7, 5), (11, 10), (13, 12), (101, 32), (211, 8), (1009, 6), (1048573, 4), (1048573, 16)]
+
+
+class TestCharacteristicPOracle:
+    @pytest.mark.parametrize("p,n", CHARP_ROWS)
+    def test_plog_and_pexp_match(self, p, n):
+        ctx = Context(p, n)
+        rng = random.Random(61)
+        for v in (1, 2, 3):
+            for _ in range(10):
+                u, x = units_of_valuation(rng, ctx, v)
+                assert plog(u).digits == charp_log_digits(u.digits, p), v
+                if v >= 2:
+                    assert pexp(x).digits == charp_exp_digits(x.digits, p), v
+
+    @pytest.mark.parametrize("p,n", CHARP_ROWS)
+    def test_preimage_through_log(self, p, n):
+        ctx = Context(p, n)
+        rng = random.Random(67)
+        for v in (2, 3):
+            for _ in range(4):
+                _, y = units_of_valuation(rng, ctx, v)
+                branch = rng.randrange(1, p)
+                z = preimage(y, branch)
+                assert z.digits[:2] == (1, branch)
+                assert charp_log_digits(z.digits, p) == y.digits
+
+    @pytest.mark.parametrize("p,n", [(7, 5), (101, 32), (1048573, 16)])
+    def test_kills_a_plog_without_the_p_th_term(self, p, n, monkeypatch):
+        u, _ = units_of_valuation(random.Random(71), Context(p, n), 1)
+        assert plog(u).digits == charp_log_digits(u.digits, p)
+        shift_sum = series._shift_sum
+
+        def dropping(const, w, terms):
+            return shift_sum(const, w, [t for t in terms if t[0] != p])
+
+        monkeypatch.setattr(series, "_shift_sum", dropping)
+        assert plog(u).digits != charp_log_digits(u.digits, p)
 
 
 class TestCarryFreeUnitMinusOne:
