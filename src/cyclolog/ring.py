@@ -31,9 +31,11 @@ from .errors import (
     NotPrincipalUnit,
 )
 
-# _mul packs digits into 64-bit limbs; limb j < n of a length-n product sums at
-# most n terms of at most (p-1)**2, and n * (p-1)**2 <= N * (p-1)**2 < 2**64
-# whenever p <= 2**20 and N <= 2**24, so the bound holds at every n <= N.
+# _pack holds digits in 64-bit limbs; limb j < n of a length-n product of
+# canonical digits sums at most n terms of at most (p-1)**2, and
+# n * (p-1)**2 <= N * (p-1)**2 < 2**64 whenever p <= 2**20 and N <= 2**24, so
+# the bound holds at every n <= N, for _mul and for the series' carried
+# operands alike.
 P_CAP = 1 << 20
 PRECISION_CAP = 1 << 24
 
@@ -117,17 +119,25 @@ def _canonical(raw: Iterable[int], p: int, n: int) -> tuple[int, ...]:
     return tuple(buf)
 
 
+def _pack(digits: Sequence[int], n: int) -> int:
+    """The first n entries of digits, each in [0, 2**64), as the little-endian
+    64-bit limbs of one integer."""
+    return int.from_bytes(struct.pack(f"<{n}Q", *digits[:n]), "little")
+
+
+def _unpack(x: int, n: int) -> tuple[int, ...]:
+    """The low n 64-bit limbs of a nonnegative integer, inverse to _pack."""
+    return struct.unpack(f"<{n}Q", (x & ((1 << 64 * n) - 1)).to_bytes(8 * n, "little"))
+
+
 def _mul(a: Sequence[int], b: Sequence[int], p: int, n: int) -> tuple[int, ...]:
     """Canonical digits of a*b mod pi^n from the first n digits of a and b.
 
     Works at any length n >= 1 and builds no Context.  The digit convolution
-    is one big-integer product (Kronecker substitution), packed and unpacked
-    as little-endian 64-bit limbs by struct; P_CAP bounds the limbs.
+    is one big-integer product of the packed digits (Kronecker substitution);
+    P_CAP bounds the limbs.
     """
-    limbs = f"<{n}Q"
-    x = int.from_bytes(struct.pack(limbs, *a[:n]), "little")
-    y = int.from_bytes(struct.pack(limbs, *b[:n]), "little")
-    return _canonical(struct.unpack_from(limbs, (x * y).to_bytes(16 * n, "little")), p, n)
+    return _canonical(_unpack(_pack(a, n) * _pack(b, n), n), p, n)
 
 
 def normalize(raw: Sequence[int], ctx: Context) -> PiElement:

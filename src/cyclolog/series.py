@@ -5,11 +5,13 @@ p^k is +-c * pi^s * w^n with c a p-adic unit and s = n*v - (p-1)*k >= v:
 an upward shift, so no digit is forgotten and no working-precision lift is
 needed.  The top v digits of w are unknown, but pi^s * w^n mod pi^N needs
 w^n only mod pi^(N-s).  Terms with s >= N are multiples of pi^N and skipped;
-the rest add their digits into one integer vector, which is carried once.
+the rest are summed uncarried, and the sum is carried once.
 
-Two facts keep the powers small.  Each w^n is formed only to the digits a
-later term reads, need[i] = max(N - s_j for j >= i), by the length-n kernel
-ring._mul.  And where N - s <= p - 1, p = 0 mod pi^(N-s), so the term lives
+Three facts keep the powers cheap.  Each w^n is formed only to the digits a
+later term reads, need[i] = max(N - s_j for j >= i).  The powers and the sum
+stay packed as 64-bit limbs with a bound on each, and an operand is carried
+only when a limb could reach 2**64; a carried operand times w always fits.  And
+where N - s <= p - 1, p = 0 mod pi^(N-s), so the term lives
 in F_p[pi]; for p | n, Frobenius collapses w^n to the integer w_0^n mod p,
 and the term is one digit at position s.  When N <= p - 1 and v = 1 that is
 the term n = p, x^p/p = -pi * w^p: digit 1 of the log is a1 - a1^p = 0,
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPrincipalUnit, ValuationTooSmall
-from .ring import Context, PiElement, PrincipalUnit, _canonical, _mul
+from .ring import Context, PiElement, PrincipalUnit, _canonical, _pack, _unpack
 
 
 def _floor_log(p: int, n: int) -> int:
@@ -84,50 +86,77 @@ class SeriesBudget:
             raise AssertionError("series tail bound fails at the next power of p")
 
 
-def _integer_inverse(m: int, ctx: Context) -> int:
-    """Inverse of the p-coprime integer m modulo a power of p matching pi^precision.
+def _inverse_modulus(ctx: Context) -> int:
+    """p**M with M*(p-1) >= precision, so p**M = 0 mod pi^precision.
 
-    Agrees digitwise with invert_unit(from_integer(m)); p**M has pi-valuation
-    M*(p-1) >= precision, so congruence mod p**M suffices.
+    For m coprime to p, pow(m, -1, p**M) therefore agrees digitwise with
+    invert_unit(from_integer(m)).  plog and pexp compute it once per call and
+    invert each signed series coefficient against it, so every c is the
+    nonnegative integer that _shift_sum packs.
     """
-    M = -(-ctx.precision // (ctx.p - 1))
-    return pow(m, -1, ctx.p ** M)
+    return ctx.p ** -(-ctx.precision // (ctx.p - 1))
 
 
-def _pow(a: tuple[int, ...], e: int, p: int, n: int) -> tuple[int, ...]:
-    """Canonical digits of a**e mod pi^n for e >= 1, left to right from a,
-    as PiElement.__pow__ does at full precision."""
-    result = a[:n]
-    for bit in bin(e)[3:]:
-        result = _mul(result, result, p, n)
-        if bit == "1":
-            result = _mul(result, a, p, n)
-    return result
+_LIMB = 1 << 64  # every limb of a packed value stays below this
+
+
+def _carry(x: int, p: int, n: int) -> int:
+    """The packed value x mod pi^n with its limbs carried to canonical digits."""
+    return _pack(_canonical(_unpack(x, n), p, n), n)
+
+
+def _times(x: int, a: int, y: int, p: int, n: int) -> tuple[int, int]:
+    """Packed x*y mod pi^n and a bound on its limbs, from the first n limbs of
+    packed x, which are at most a, and of packed y, which are canonical.
+
+    Limb j < n of the product sums at most n products of limbs, so it is at
+    most n*a*(p-1).  Only when that could reach 2**64 is x carried first; a
+    carried x always fits, since n*(p-1)**2 < 2**64 (ring.P_CAP).
+    """
+    mask = (1 << 64 * n) - 1
+    if n * a * (p - 1) >= _LIMB:
+        x, a = _carry(x, p, n), p - 1
+    return ((x & mask) * (y & mask)) & mask, n * a * (p - 1)
 
 
 def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> PiElement:
-    """const + sum(c * pi^s * w^n for n, s, c in terms), with terms sorted by n.
+    """const + sum(c * pi^s * w^n for n, s, c in terms), with terms sorted by n
+    and every c >= 0.
 
-    Each term adds c*d into raw[s + j] for each digit d = (w^n).digits[j],
-    j < N - s, and one _canonical call carries the sum.  The digits match a
-    term-by-term ring sum: _canonical canonicalizes any integer vector exactly,
-    and pi^s * (c*w^n mod pi^N) = c*pi^s*w^n mod pi^N.
+    The sum is an integer vector raw, plus a packed integer total whose limb
+    s + j holds c*d for each digit d of w^n, j < N - s; one _canonical call
+    carries raw + total.  The digits match a term-by-term ring sum:
+    _canonical canonicalizes any integer vector exactly, and
+    pi^s * (c*w^n mod pi^N) = c*pi^s*w^n mod pi^N.
 
     A term reads only N - s digits of w^n, so w^n is formed mod pi^need[i]
     with need[i] = max(N - s_j for j >= i): the lengths never grow, and the
-    next power is this one times w^(gap), a binary power at the same length.
+    next power is this one times w, once per step of n, at the same length.
+    w is packed once, and the powers stay packed and uncarried, with a bound
+    on their limbs; _times carries the power only when a limb of its product
+    with w could reach 2**64.  A term adds c*w^n to total the same way: if
+    total's bound plus c times the power's bound could reach 2**64 the power
+    is carried first, and a term whose c is too large even then (c near
+    p**(N/(p-1)) at p = 3) adds the power's limbs into raw instead.  A sum
+    whose one term is n = 1 (high valuations) forms no power and adds w's
+    digits into raw without packing them.
+
     Where N - s <= p - 1, p is 0 mod pi^(N-s) and w^n is taken in F_p[pi].
     For n = p^k * m with k >= 1, Frobenius makes w^n = (w^m)^(p^k) the sum of
     b_i^(p^k) * pi^(i*p^k) over the digits b_i of w^m; pi^(p^k) vanishes, so
     w^n = b_0^(p^k) = w_0^n mod p.  Such a term is the single digit
     c * w_0^n mod p at position s, and forms no power.  In plog with v = 1 the
-    term n = p has s = 1 and c = -1: it adds -a1^p to the a1 of the term
-    n = 1, so digit 1 is a1 - a1^p = 0 mod p.
+    term n = p has s = 1 and c = -1 mod p**M: it adds -a1^p to the a1 of the
+    term n = 1, so digit 1 is a1 - a1^p = 0 mod p.
     """
     ctx = w.ctx
     p, N = ctx.p, ctx.precision
     wd = w.digits
     raw = [const] + [0] * (N - 1)
+    if len(terms) == 1 and terms[0][0] == 1:  # w alone forms no power
+        _, s, c = terms[0]
+        raw[s:] = [r + c * d for r, d in zip(raw[s:], wd)]
+        return PiElement._make(_canonical(raw, p, N), ctx)
     need, most = [], 0  # need 0 marks a Frobenius digit
     for n, s, _ in reversed(terms):
         if N - s < p and n % p == 0:
@@ -135,15 +164,26 @@ def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> P
         else:
             most = max(most, N - s)
             need.append(most)
-    power, done = wd, 1
+    top = p - 1  # the limb bound of canonical digits
+    total = bound = 0
+    packed_w = power = _pack(wd, most)  # packed w^done, limbs at most pb
+    pb, done = top, 1
     for (n, s, c), length in zip(terms, reversed(need)):
         if not length:
             raw[s] += c * pow(wd[0], n, p)
             continue
-        if n > done:
-            power = _mul(power, _pow(wd, n - done, p, length), p, length)
-            done = n
-        raw[s:] = [r + c * d for r, d in zip(raw[s:], power)]
+        while done < n:
+            power, pb = _times(power, pb, packed_w, p, length)
+            done += 1
+        if bound + c * pb >= _LIMB:
+            if bound + c * top >= _LIMB:
+                raw[s:] = [r + c * d for r, d in zip(raw[s:], _unpack(power, N - s))]
+                continue
+            power, pb = _carry(power, p, length), top
+        total += c * power << 64 * s
+        bound += c * pb
+    if total:
+        raw = [r + t for r, t in zip(raw, _unpack(total, N))]
     return PiElement._make(_canonical(raw, p, N), ctx)
 
 
@@ -160,13 +200,14 @@ def plog(u: PiElement) -> PiElement:
     p, N = ctx.p, ctx.precision
     x = PiElement._make((0,) + u.digits[1:], ctx)  # u - 1, already canonical
     v = x.valuation()
+    modulus = _inverse_modulus(ctx)
     terms = []
     k = 0
     while p**k * v - (p - 1) * k < N:
         for m in range(1, (N - 1 + (p - 1) * k) // (p**k * v) + 1):
             if m % p:
                 n = p**k * m
-                c = (-1) ** (n + 1 + k) * _integer_inverse(m, ctx)
+                c = pow((-1) ** (n + 1 + k) * m, -1, modulus)
                 terms.append((n, n * v - (p - 1) * k, c))
         k += 1
     return _shift_sum(0, x.div_pi_power(v), sorted(terms))
@@ -183,6 +224,7 @@ def pexp(x: PiElement) -> PrincipalUnit:
         raise ValuationTooSmall(f"valuation {v} < 2, outside the convergence domain")
     ctx = x.ctx
     p, N = ctx.p, ctx.precision
+    modulus = _inverse_modulus(ctx)
     terms = []
     k, m = 0, 1
     for n in range(1, N):
@@ -190,7 +232,7 @@ def pexp(x: PiElement) -> PrincipalUnit:
         k, m = k + dk, m * dm
         s = n * v - (p - 1) * k
         if s < N:
-            terms.append((n, s, (-1) ** k * _integer_inverse(m, ctx)))
+            terms.append((n, s, pow((-1) ** k * m, -1, modulus)))
     return PrincipalUnit._make(_shift_sum(1, x.div_pi_power(v), terms).digits, ctx)
 
 

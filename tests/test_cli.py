@@ -249,6 +249,21 @@ class TestGoldenOutput:
         assert code == 0
         assert out == (Path(__file__).parent / "golden" / name).read_text()
 
+    # 256-digit series where the power carries and the raw fallback of the
+    # packed sum both fire; the digit strings are in the .in files
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["log", "--p", "3", "--prec", "256", "--unit"], "log_p3_n256"),
+            (["exp", "--p", "7", "--prec", "256", "--y"], "exp_p7_n256"),
+        ],
+    )
+    def test_long_series_matches_golden(self, argv, name, capsys):
+        golden = Path(__file__).parent / "golden"
+        code, out, _ = run_cli(argv + [(golden / f"{name}.in").read_text()], capsys)
+        assert code == 0
+        assert out == (golden / f"{name}.txt").read_text()
+
 
 class TestTableCommand:
     def test_p3_prec4(self, capsys):

@@ -16,7 +16,8 @@ from cyclolog import (
     preimage,
 )
 from cyclolog import series
-from cyclolog.series import _integer_inverse
+from cyclolog.ring import _canonical, _mul, _pack, _unpack
+from cyclolog.series import _inverse_modulus, _times
 
 from oracle_charp import charp_exp_digits, charp_log_digits
 from oracle_series import naive_plog, poly_log_digits, term_by_term_sum
@@ -277,13 +278,13 @@ class TestShortcutsMatchTermByTermSum:
 class TestSeriesKernelLengths:
     def record_lengths(self, monkeypatch):
         lengths = []
-        mul = series._mul
+        times = series._times
 
-        def recording(a, b, p, n):
+        def recording(x, a, y, p, n):
             lengths.append(n)
-            return mul(a, b, p, n)
+            return times(x, a, y, p, n)
 
-        monkeypatch.setattr(series, "_mul", recording)
+        monkeypatch.setattr(series, "_times", recording)
         return lengths
 
     @pytest.mark.parametrize("p,n", [(101, 32), (1048573, 16)])
@@ -308,6 +309,75 @@ class TestSeriesKernelLengths:
                 f(arg)
                 assert lengths and max(lengths) <= ctx.precision
                 assert lengths == sorted(lengths, reverse=True), (f.__name__, v)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls series makes to its global `name`."""
+    calls = []
+    f = getattr(series, name)
+
+    def counting(*args):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(series, name, counting)
+    return calls
+
+
+class TestCarryRule:
+    # x's limbs lie below 2**e, so its bound is a = 2**e - 1, and y is
+    # canonical; that forces no carry while n*a*(p-1) < 2**64, and one otherwise
+    @pytest.mark.parametrize(
+        "p,n,e,carries",
+        [(3, 8, 28, 0), (3, 8, 62, 1), (1048573, 16, 21, 0), (1048573, 16, 45, 1)],
+    )
+    def test_times_matches_mul_on_the_carried_operands(self, p, n, e, carries, monkeypatch):
+        rng = random.Random(e)
+        carry = count_calls(monkeypatch, "_carry")
+        for _ in range(20):
+            x = [rng.randrange(1 << e) for _ in range(n)]
+            y = [rng.randrange(p) for _ in range(n)]
+            carry.clear()
+            got, bound = _times(_pack(x, n), (1 << e) - 1, _pack(y, n), p, n)
+            assert len(carry) == carries
+            limbs = _unpack(got, n)
+            assert max(limbs) <= bound
+            assert got >> 64 * n == 0
+            assert _canonical(limbs, p, n) == _mul(_canonical(x, p, n), y, p, n)
+
+    @pytest.mark.parametrize("p,n", [(1048573, 16), (3, 64)])
+    def test_power_carries_match_term_by_term_sum(self, p, n, monkeypatch):
+        ctx = Context(p, n)
+        rng = random.Random(23)
+        cases = [units_of_valuation(rng, ctx, v) for v in (1, 1, 2, 3)]
+        carry = count_calls(monkeypatch, "_carry")
+        got = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
+        assert carry
+        monkeypatch.setattr(series, "_shift_sum", term_by_term_sum)
+        want = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
+        assert got == want
+
+    def test_large_coefficients_fall_back_to_raw(self, monkeypatch):
+        # at (3,256) c < 3**128, so most terms cannot join the packed sum
+        p, n = 3, 256
+        u, _ = units_of_valuation(random.Random(29), Context(p, n), 1)
+        sums = count_calls(monkeypatch, "_shift_sum")
+        got = plog(u)
+        (_, _, terms), = sums
+        assert any(c * (p - 1) >= 1 << 64 for m, _, c in terms if m > 1)
+        monkeypatch.setattr(series, "_shift_sum", term_by_term_sum)
+        assert got == plog(u)
+
+    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
+    def test_one_carry_pass_per_small_plog(self, p, n, monkeypatch):
+        ctx = Context(p, n)
+        rng = random.Random(31)
+        units = [units_of_valuation(rng, ctx, 1)[0] for _ in range(10)]
+        canonical = count_calls(monkeypatch, "_canonical")
+        for u in units:
+            canonical.clear()
+            plog(u)
+            assert len(canonical) == 1
 
 
 # the grid rows with N <= p - 1, where the ring is F_p[pi]/pi^N
@@ -396,11 +466,13 @@ class TestDigitFormulas:
 class TestInternalInverse:
     @pytest.mark.parametrize("p,n", [(3, 10), (5, 8), (7, 6)])
     def test_integer_inverse_matches_invert_unit(self, p, n):
-        # the series divides by the unit part of n through the integer
+        # the series divides by the signed unit part of n through the integer
         # inverse; it must agree digitwise with the ring-level route
         ctx = Context(p, n)
-        for m in range(1, 40):
+        modulus = _inverse_modulus(ctx)
+        for m in range(-39, 40):
             if m % p == 0:
                 continue
-            via_int = ctx.from_integer(_integer_inverse(m, ctx))
-            assert via_int == ctx.from_integer(m).invert_unit()
+            inverse = pow(m, -1, modulus)
+            assert 0 <= inverse < modulus
+            assert ctx.from_integer(inverse) == ctx.from_integer(m).invert_unit()
