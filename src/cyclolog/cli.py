@@ -17,7 +17,7 @@ from .errors import CapExceeded, CyclologError, DigitStringError
 from .ring import Context, PiElement, format_digits, parse_digits
 from .series import pexp, plog
 from .preimage import preimage, preimage_all, roots_of_unity
-from .verify import DEFAULT_CAP, _enumeration_count, run_all
+from .verify import DEFAULT_CAP, _enumeration_count, _require, run_all
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,8 +117,7 @@ def _cmd_verify(args, ctx: Context) -> int:
 def _cmd_table(args, ctx: Context) -> int:
     p, n = ctx.p, ctx.precision
     units_total = _enumeration_count(p - 1, p, n - 2, args.cap)
-    if units_total > args.cap:
-        raise CapExceeded(units_total, args.cap)
+    _require(units_total, args.cap)
     targets_total = units_total // (p - 1)
     for tail in itertools.product(range(p), repeat=n - 2):
         y = PiElement._make((0, 0) + tail, ctx)

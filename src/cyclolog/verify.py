@@ -3,9 +3,11 @@ with machine-readable reports.
 
 run_all enumerates the annulus units and the units of 1 + m_K^2 once each, on
 first use within the cap, into tables from log digits to unit digits that
-every exhaustive check reads.  The image is compared with m_K^2 itself, the
-p^(N-2) digit vectors that start with two zeros.  Counts are exact and
-failures carry digit-string witnesses.
+every exhaustive check reads.  An exhaustive check takes the run's tables or,
+called on its own, builds its own, and charges the cap before it touches a
+table.  The image is compared with m_K^2 itself, the p^(N-2) digit vectors
+that start with two zeros.  Counts are exact and failures carry digit-string
+witnesses.
 
 run_all adds seeded property suites for the series and preimage modules.  Each
 sampled check is a stream of (ok, witnesses) trials counted by one tally,
@@ -28,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded
-from .ring import Context, PiElement, format_digits
+from .ring import Context, PiElement, format_digits, normalize
 from .series import log_digit_formula, pexp, plog
 from .preimage import digit2_for_branch, preimage_all, qr_pair_enumeration, roots_of_unity
 
@@ -122,15 +124,14 @@ def _image_mismatch(ctx: Context, image) -> tuple[set, set]:
     return image - m2, m2 - image
 
 
-def check_annulus_image(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
+def check_annulus_image(
+    ctx: Context, cap: int = DEFAULT_CAP, tables: _Tables | None = None
+) -> CheckResult:
     """Logs of all units with nonzero digit 1 cover m_K^2 exactly, in fibers of p-1."""
-    return _check_annulus_image(ctx, cap, _Tables(ctx))
-
-
-def _check_annulus_image(ctx: Context, cap: int, tables: _Tables) -> CheckResult:
     p, n = ctx.p, ctx.precision
     total = _enumeration_count(p - 1, p, n - 2, cap)
     _require(total, cap)
+    tables = _Tables(ctx) if tables is None else tables
     fibers = tables.annulus
     outside = [u for lg, units in fibers.items() if lg[0] or lg[1] for u in units]
     expected = p ** (n - 2)
@@ -151,14 +152,13 @@ def _check_annulus_image(ctx: Context, cap: int, tables: _Tables) -> CheckResult
     return CheckResult("annulus_image", passed, counts, witnesses)
 
 
-def check_square_iso(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
+def check_square_iso(
+    ctx: Context, cap: int = DEFAULT_CAP, tables: _Tables | None = None
+) -> CheckResult:
     """plog restricted to 1 + m_K^2 is a bijection onto m_K^2 inverted by pexp."""
-    return _check_square_iso(ctx, cap, _Tables(ctx))
-
-
-def _check_square_iso(ctx: Context, cap: int, tables: _Tables) -> CheckResult:
     total = _enumeration_count(1, ctx.p, ctx.precision - 2, cap)
     _require(total, cap)
+    tables = _Tables(ctx) if tables is None else tables
     images = tables.squares
     outside = sum(len(units) for lg, units in images.items() if lg[0] or lg[1])
     unrecovered = []
@@ -176,16 +176,15 @@ def _check_square_iso(ctx: Context, cap: int, tables: _Tables) -> CheckResult:
     return CheckResult("square_isomorphism", passed, counts, _witnesses(unrecovered))
 
 
-def check_full_image_and_index(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
+def check_full_image_and_index(
+    ctx: Context, cap: int = DEFAULT_CAP, tables: _Tables | None = None
+) -> CheckResult:
     """log(1 + m_K) fills m_K^2, which sits at index exactly p inside m_K."""
-    return _check_full_image_and_index(ctx, cap, _Tables(ctx))
-
-
-def _check_full_image_and_index(ctx: Context, cap: int, tables: _Tables) -> CheckResult:
     p, n = ctx.p, ctx.precision
     annulus_total = _enumeration_count(p - 1, p, n - 2, cap)
     square_total = _enumeration_count(1, p, n - 2, cap)
     _require(annulus_total + square_total, cap)
+    tables = _Tables(ctx) if tables is None else tables
     union = tables.annulus.keys() | tables.squares.keys()
     outside, missing = _image_mismatch(ctx, union)
     index = p ** (n - 1) // len(union)
@@ -207,8 +206,7 @@ def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
     the u - 1 fill p classes mod pi^2 and their logs fall in the class of 0."""
     p = ctx.p
     _require(p, cap)
-    pi = ctx.uniformizer()
-    units = [ctx.one() + ctx.from_integer(a1) * pi for a1 in range(p)]
+    units = [normalize([1, a1], ctx) for a1 in range(p)]
     m_mod = {(u - 1).digits[:2] for u in units}
     m2_mod = {plog(u).digits[:2] for u in units}
     cosets = len(m_mod) // len(m2_mod)
@@ -364,9 +362,9 @@ def run_all(ctx: Context, seed: int = 0, cap: int = DEFAULT_CAP) -> Verification
     report = VerificationReport(ctx.p, ctx.precision)
     tables = _Tables(ctx)
     jobs = {
-        "annulus_image": lambda rng: _check_annulus_image(ctx, cap, tables),
-        "square_isomorphism": lambda rng: _check_square_iso(ctx, cap, tables),
-        "full_image_and_index": lambda rng: _check_full_image_and_index(ctx, cap, tables),
+        "annulus_image": lambda rng: check_annulus_image(ctx, cap, tables),
+        "square_isomorphism": lambda rng: check_square_iso(ctx, cap, tables),
+        "full_image_and_index": lambda rng: check_full_image_and_index(ctx, cap, tables),
         "residue_field": lambda rng: check_residue_field(ctx, cap),
         "exp_log_roundtrip": lambda rng: _check_exp_log_roundtrip(ctx, rng, cap),
         "log_homomorphism": lambda rng: _check_log_homomorphism(ctx, rng, cap),

@@ -275,6 +275,40 @@ class TestSharedTables:
         monkeypatch.setattr(verify, "_log_table", counting)
         run_all(Context(5, 4), seed=0)
         assert sorted(built) == [(0,), (1, 2, 3, 4)]
+        built.clear()
+        tables = verify._Tables(Context(5, 4))
+        for check in (check_annulus_image, check_square_iso, check_full_image_and_index):
+            assert check(tables.ctx, tables=tables).passed
+        assert sorted(built) == [(0,), (1, 2, 3, 4)]
+
+    def test_run_all_calls_each_public_check_with_its_tables(self, monkeypatch):
+        # the names run_all looks up are the ones a tracer or a test wraps
+        calls = {}
+        for name in ("check_annulus_image", "check_square_iso", "check_full_image_and_index"):
+            real = getattr(verify, name)
+
+            def recording(ctx, cap, tables, real=real, name=name):
+                calls.setdefault(name, []).append(tables)
+                return real(ctx, cap, tables)
+
+            monkeypatch.setattr(verify, name, recording)
+        assert run_all(Context(3, 6), seed=0).all_passed
+        shared = [tables for recorded in calls.values() for tables in recorded]
+        assert len(calls) == len(shared) == 3
+        assert isinstance(shared[0], verify._Tables)
+        assert all(tables is shared[0] for tables in shared)
+
+    @pytest.mark.parametrize(
+        "check", [check_annulus_image, check_square_iso, check_full_image_and_index]
+    )
+    def test_cap_is_charged_before_a_table_is_built(self, check, monkeypatch):
+        def no_table(ctx, leads):
+            pytest.fail("a table was built before the cap was charged")
+
+        monkeypatch.setattr(verify, "_log_table", no_table)
+        with pytest.raises(CapExceeded) as info:
+            check(Context(1048573, 720), cap=1)
+        assert info.value.required > 10**18
 
 
 def _pairwise_closure_failures(members, ctx):
