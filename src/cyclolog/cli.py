@@ -81,14 +81,9 @@ def _cmd_exp(args, ctx: Context) -> int:
 
 def _cmd_preimage(args, ctx: Context) -> int:
     y = parse_digits(args.y, ctx)
-    if args.all:
-        units = preimage_all(y)
-        branches = range(1, ctx.p)
-    else:
-        units = [preimage(y, args.branch)]
-        branches = [args.branch]
-    for branch, unit in zip(branches, units):
-        print(f"branch {branch}: {format_digits(unit)}  log={format_digits(plog(unit))}")
+    units = preimage_all(y) if args.all else [preimage(y, args.branch)]
+    for unit in units:
+        print(f"branch {unit.digits[1]}: {format_digits(unit)}  log={format_digits(plog(unit))}")
     return 0
 
 

@@ -17,7 +17,6 @@ TypeError.  Elements the package computes are never checked again.
 
 from __future__ import annotations
 
-import functools
 import operator
 import struct
 from collections.abc import Iterable, Sequence
@@ -40,7 +39,6 @@ P_CAP = 1 << 20
 PRECISION_CAP = 1 << 24
 
 
-@functools.lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -254,14 +252,10 @@ class PiElement:
     def __eq__(self, other):
         if not isinstance(other, PiElement):
             return NotImplemented
-        return (
-            self.ctx.p == other.ctx.p
-            and self.ctx.precision == other.ctx.precision
-            and self.digits == other.digits
-        )
+        return self.ctx == other.ctx and self.digits == other.digits
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.precision, self.digits))
+        return hash((self.ctx, self.digits))
 
     def __repr__(self):
         return f"PiElement({format_digits(self)!r}, p={self.ctx.p})"

@@ -134,12 +134,18 @@ def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> P
     next power is this one times w, once per step of n, at the same length.
     w is packed once, and the powers stay packed and uncarried, with a bound
     on their limbs; _times carries the power only when a limb of its product
-    with w could reach 2**64.  A term adds c*w^n to total the same way: if
-    total's bound plus c times the power's bound could reach 2**64 the power
-    is carried first, and a term whose c is too large even then (c near
-    p**(N/(p-1)) at p = 3) adds the power's limbs into raw instead.  A sum
-    whose one term is n = 1 (high valuations) forms no power and adds w's
-    digits into raw without packing them.
+    with w could reach 2**64.  Each term takes one of four paths:
+
+    - a Frobenius digit, below, where N - s <= p - 1 and p | n: it forms no
+      power, which spares about p products per n = p term at p near 2**20;
+    - the packed join, c*w^n shifted into total, while total's bound plus c
+      times the power's bound stays below 2**64: one bigint addition
+      instead of N - s list entries, on nearly every term;
+    - carry-then-join, where only the power's uncarried bound is too
+      large: one carry of the power still lets the term join total;
+    - the raw fallback, where even a carried power would take total's
+      bound to 2**64 (c near p**(N/(p-1)) at p = 3): the power's limbs are
+      added into raw, the one place exact for any c.
 
     Where N - s <= p - 1, p is 0 mod pi^(N-s) and w^n is taken in F_p[pi].
     For n = p^k * m with k >= 1, Frobenius makes w^n = (w^m)^(p^k) the sum of
@@ -153,10 +159,6 @@ def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> P
     p, N = ctx.p, ctx.precision
     wd = w.digits
     raw = [const] + [0] * (N - 1)
-    if len(terms) == 1 and terms[0][0] == 1:  # w alone forms no power
-        _, s, c = terms[0]
-        raw[s:] = [r + c * d for r, d in zip(raw[s:], wd)]
-        return PiElement._make(_canonical(raw, p, N), ctx)
     need, most = [], 0  # need 0 marks a Frobenius digit
     for n, s, _ in reversed(terms):
         if N - s < p and n % p == 0:

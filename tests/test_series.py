@@ -254,22 +254,25 @@ def units_of_valuation(rng, ctx, v):
 
 class TestShortcutsMatchTermByTermSum:
     # rows where the Frobenius digit and the shrinking precision both fire;
-    # the Fraction oracle is too slow here, so the reference is a ring sum
+    # the Fraction oracle is too slow here, so the reference is a ring sum.
+    # v = N - 1 leaves the one term n = 1, which takes the general path.
     @pytest.mark.parametrize("p,n", [(3, 64), (7, 20), (13, 12), (101, 32)])
     def test_matches_term_by_term_ring_sum(self, p, n, monkeypatch):
         ctx = Context(p, n)
         rng = random.Random(101)
-        cases = [units_of_valuation(rng, ctx, v) for v in (1, 1, 2, 3, 3)]
-        frobenius = []
+        cases = [units_of_valuation(rng, ctx, v) for v in (1, 1, 2, 3, 3, n - 1)]
+        frobenius, lone = [], []
         shift_sum = series._shift_sum
 
         def recording(const, w, terms):
             frobenius.extend(n - s < p and m % p == 0 for m, s, _ in terms)
+            lone.append(len(terms) == 1 and terms[0][0] == 1)
             return shift_sum(const, w, terms)
 
         monkeypatch.setattr(series, "_shift_sum", recording)
         got = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
         assert any(frobenius)
+        assert any(lone)
         monkeypatch.setattr(series, "_shift_sum", term_by_term_sum)
         want = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
         assert got == want
