@@ -28,36 +28,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def command(name, run, summary):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--p", type=int, required=True, help="odd prime >= 3")
         sp.add_argument("--prec", type=int, required=True, help="precision N >= 4")
+        sp.set_defaults(run=run)
+        return sp
 
-    sp_log = sub.add_parser("log", help="p-adic logarithm of a principal unit")
-    add_common(sp_log)
+    sp_log = command("log", _cmd_log, "p-adic logarithm of a principal unit")
     sp_log.add_argument("--unit", required=True, help="digit string with digit 0 equal to 1")
 
-    sp_exp = sub.add_parser("exp", help="p-adic exponential of an element of m^2")
-    add_common(sp_exp)
+    sp_exp = command("exp", _cmd_exp, "p-adic exponential of an element of m^2")
     sp_exp.add_argument("--y", required=True, help="digit string with digits 0,1 equal to 0")
 
-    sp_pre = sub.add_parser("preimage", help="log preimages of a target in m^2")
-    add_common(sp_pre)
+    sp_pre = command("preimage", _cmd_preimage, "log preimages of a target in m^2")
     sp_pre.add_argument("--y", required=True, help="target digit string, digits 0,1 zero")
     group = sp_pre.add_mutually_exclusive_group(required=True)
     group.add_argument("--branch", type=int, help="leading digit a1 in 1..p-1")
     group.add_argument("--all", action="store_true", help="all p-1 branches")
 
-    sp_roots = sub.add_parser("roots", help="the p-1 nontrivial p-th roots of unity")
-    add_common(sp_roots)
+    command("roots", _cmd_roots, "the p-1 nontrivial p-th roots of unity")
 
-    sp_verify = sub.add_parser("verify", help="run the exhaustive verification suite")
-    add_common(sp_verify)
+    sp_verify = command("verify", _cmd_verify, "run the exhaustive verification suite")
     sp_verify.add_argument("--json", action="store_true", help="machine-readable report")
     sp_verify.add_argument("--seed", type=int, default=0, help="seed for the property suites")
     sp_verify.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
 
-    sp_table = sub.add_parser("table", help="full fiber table of log over m^2")
-    add_common(sp_table)
+    sp_table = command("table", _cmd_table, "full fiber table of log over m^2")
     sp_table.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
 
     return parser
@@ -130,25 +127,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    handlers = {
-        "log": _cmd_log,
-        "exp": _cmd_exp,
-        "preimage": _cmd_preimage,
-        "roots": _cmd_roots,
-        "verify": _cmd_verify,
-        "table": _cmd_table,
-    }
     try:
-        return handlers[args.command](args, ctx)
-    except DigitStringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return args.run(args, ctx)
     except CyclologError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, DigitStringError):
+            return 2
+        return 4 if isinstance(exc, CapExceeded) else 3
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import pytest
 
 from cyclolog import Context, parse_digits, plog
 from cyclolog import cli, verify
-from cyclolog.cli import main
+from cyclolog.cli import build_parser, main
 from cyclolog.errors import CapExceeded, CyclologError, DigitStringError
 
 
@@ -315,6 +315,17 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "0,0,2,2,1"
 
+    def test_cli_module_invocation_matches_package(self):
+        # without the __main__ guard in cli.py this would exit 0 and print nothing
+        argv = ["log", "--p", "5", "--prec", "5", "--unit", "1,1"]
+        procs = [
+            subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True)
+            for module in ("cyclolog", "cyclolog.cli")
+        ]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert procs[1].stdout == procs[0].stdout
+        assert procs[0].stdout.startswith("0,0,2,2,1\n")
+
     def test_bad_precision_exits_2(self, capsys):
         for argv in (
             ["roots", "--p", "5", "--prec", "3"],
@@ -340,3 +351,39 @@ class TestErrorExitCodes:
         code, _, err = run_cli(["log", "--p", "5", "--prec", "5", "--unit", "1"], capsys)
         assert code == _EXIT_CODES.get(error, 3)
         assert err.startswith("error: ")
+
+    def test_other_errors_escape(self, monkeypatch):
+        def raising(args, ctx):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "_cmd_log", raising)
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["log", "--p", "5", "--prec", "5", "--unit", "1"])
+
+
+class TestParserSurface:
+    # every dest, default and type of each subcommand; `run` is the bound handler
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["log", "--p", "5", "--prec", "5", "--unit", "1,1"],
+             {"command": "log", "p": 5, "prec": 5, "unit": "1,1"}),
+            (["exp", "--p", "7", "--prec", "4", "--y", "0,0,1"],
+             {"command": "exp", "p": 7, "prec": 4, "y": "0,0,1"}),
+            (["preimage", "--p", "5", "--prec", "6", "--y", "0,0,1", "--all"],
+             {"command": "preimage", "p": 5, "prec": 6, "y": "0,0,1", "branch": None, "all": True}),
+            (["preimage", "--p", "5", "--prec", "6", "--y", "0,0,1", "--branch", "2"],
+             {"command": "preimage", "p": 5, "prec": 6, "y": "0,0,1", "branch": 2, "all": False}),
+            (["roots", "--p", "11", "--prec", "10"],
+             {"command": "roots", "p": 11, "prec": 10}),
+            (["verify", "--p", "3", "--prec", "6"],
+             {"command": "verify", "p": 3, "prec": 6, "json": False, "seed": 0, "cap": 10_000_000}),
+            (["table", "--p", "3", "--prec", "6"],
+             {"command": "table", "p": 3, "prec": 6, "cap": 10_000_000}),
+        ],
+        ids=["log", "exp", "preimage-all", "preimage-branch", "roots", "verify", "table"],
+    )
+    def test_parsed_namespace(self, argv, expected):
+        parsed = vars(build_parser().parse_args(argv))
+        parsed.pop("run", None)
+        assert parsed == expected
