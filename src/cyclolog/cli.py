@@ -4,13 +4,15 @@ Subcommands: log, exp, preimage, roots, verify, table.  Digit strings are
 comma separated and little endian, e.g. "1,3,0,2" = 1 + 3·π + 2·π³.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse errors,
-3 domain precondition violations, 4 enumeration cap exceeded.
+3 domain precondition violations, 4 enumeration cap exceeded, 141 output
+closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 from .errors import CapExceeded, CyclologError, DigitStringError
@@ -60,20 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_log(args, ctx: Context) -> int:
-    unit = parse_digits(args.unit, ctx)
-    result = plog(unit)
+def _print_series(result: PiElement) -> int:
     print(format_digits(result))
     print(f"= {result.expansion()}")
     return 0
+
+
+def _cmd_log(args, ctx: Context) -> int:
+    return _print_series(plog(parse_digits(args.unit, ctx)))
 
 
 def _cmd_exp(args, ctx: Context) -> int:
-    x = parse_digits(args.y, ctx)
-    result = pexp(x)
-    print(format_digits(result))
-    print(f"= {result.expansion()}")
-    return 0
+    return _print_series(pexp(parse_digits(args.y, ctx)))
 
 
 def _cmd_preimage(args, ctx: Context) -> int:
@@ -128,7 +128,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.run(args, ctx)
+        code = args.run(args, ctx)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; send the exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CyclologError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, DigitStringError):

@@ -10,7 +10,8 @@ is applied only inside :func:`_canonical`; nothing else in the package ever
 stores a digit outside [0, p).  Carries move strictly upward, so one pass in
 increasing position order canonicalizes any integer vector, and carries that
 land at or beyond the precision are exact multiples of pi^N and get dropped.
-Outside integers enter only through PiElement(...) and normalize, which read
+Outside integers, int operands of +, - and * included (PiElement states the
+operand rule), enter only through PiElement(...) and normalize, which read
 each with operator.index: a bool becomes 0 or 1, a non-integer raises
 TypeError.  Elements the package computes are never checked again.
 """
@@ -138,6 +139,19 @@ def _mul(a: Sequence[int], b: Sequence[int], p: int, n: int) -> tuple[int, ...]:
     return _canonical(_unpack(_pack(a, n) * _pack(b, n), n), p, n)
 
 
+# _add, _sub and _rsub (b - a) share _mul's shape: canonical digits mod pi^n
+def _add(a: Sequence[int], b: Sequence[int], p: int, n: int) -> tuple[int, ...]:
+    return _canonical([x + y for x, y in zip(a, b)], p, n)
+
+
+def _sub(a: Sequence[int], b: Sequence[int], p: int, n: int) -> tuple[int, ...]:
+    return _canonical([x - y for x, y in zip(a, b)], p, n)
+
+
+def _rsub(a: Sequence[int], b: Sequence[int], p: int, n: int) -> tuple[int, ...]:
+    return _sub(b, a, p, n)
+
+
 def normalize(raw: Sequence[int], ctx: Context) -> PiElement:
     """Canonical digit vector of sum(raw[i] * pi^i) reduced mod pi^precision.
 
@@ -158,8 +172,10 @@ def normalize(raw: Sequence[int], ctx: Context) -> PiElement:
 class PiElement:
     """A canonical digit vector in the pi-basis.  Treat as immutable.
 
-    Supports +, -, * (with int coercion on either side) and ** with a
-    nonnegative integer exponent; all results are canonical.
+    Supports +, - and * with an element of the same context or an int (a
+    bool too) on either side, and ** with a nonnegative integer exponent; all
+    results are canonical.  An element of another context raises
+    ContextMismatch; any other operand raises TypeError.
     """
 
     __slots__ = ("digits", "ctx")
@@ -187,22 +203,19 @@ class PiElement:
         self.ctx = ctx
         return self
 
-    def _coerce(self, other) -> PiElement | None:
+    def _binary(self, other, combine):
+        ctx = self.ctx
         if isinstance(other, PiElement):
-            if other.ctx != self.ctx:
-                raise ContextMismatch(f"{other.ctx} does not match {self.ctx}")
-            return other
-        if isinstance(other, int):
-            return self.ctx.from_integer(other)
-        return None
+            if other.ctx != ctx:
+                raise ContextMismatch(f"{other.ctx} does not match {ctx}")
+        elif isinstance(other, int):
+            other = ctx.from_integer(other)
+        else:
+            return NotImplemented
+        return PiElement._make(combine(self.digits, other.digits, ctx.p, ctx.precision), ctx)
 
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        ctx = self.ctx
-        raw = [a + b for a, b in zip(self.digits, rhs.digits)]
-        return PiElement._make(_canonical(raw, ctx.p, ctx.precision), ctx)
+        return self._binary(other, _add)
 
     __radd__ = __add__
 
@@ -212,25 +225,13 @@ class PiElement:
         return PiElement._make(_canonical(raw, ctx.p, ctx.precision), ctx)
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        ctx = self.ctx
-        raw = [a - b for a, b in zip(self.digits, rhs.digits)]
-        return PiElement._make(_canonical(raw, ctx.p, ctx.precision), ctx)
+        return self._binary(other, _sub)
 
     def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
+        return self._binary(other, _rsub)
 
     def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        ctx = self.ctx
-        return PiElement._make(_mul(self.digits, rhs.digits, ctx.p, ctx.precision), ctx)
+        return self._binary(other, _mul)
 
     __rmul__ = __mul__
 
@@ -314,10 +315,7 @@ class PiElement:
 
     def div_p(self) -> PiElement:
         """Exact division by p, i.e. shift down by p - 1 digits and negate."""
-        p = self.ctx.p
-        if self.valuation() < p - 1:
-            raise NotDivisible(f"valuation {self.valuation()} < {p - 1}")
-        return -self.div_pi_power(p - 1)
+        return -self.div_pi_power(self.ctx.p - 1)
 
     def resize(self, precision: int) -> PiElement:
         """Truncate, or lift by zero padding, into a context of the given precision."""

@@ -326,6 +326,22 @@ class TestEntryPoint:
         assert procs[1].stdout == procs[0].stdout
         assert procs[0].stdout.startswith("0,0,2,2,1\n")
 
+    @pytest.mark.parametrize("module", ["cyclolog", "cyclolog.cli"])
+    def test_closed_stdout_exits_141_quietly(self, module):
+        # the table's ~400 KB overflow the pipe buffer, so a write after the close fails
+        proc = subprocess.Popen(
+            [sys.executable, "-m", module, "table", "--p", "3", "--prec", "10"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline().startswith("0,0,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == ""
+
     def test_bad_precision_exits_2(self, capsys):
         for argv in (
             ["roots", "--p", "5", "--prec", "3"],

@@ -1,3 +1,4 @@
+import operator
 import random
 import tracemalloc
 
@@ -168,14 +169,23 @@ class TestRingOps:
             op(Context(5, 4).one())
 
     def test_context_mismatch_raises(self):
+        # +, - and * share one operand path; the foreign element may be on either side
         a = Context(3, 6).one()
-        b = Context(3, 7).one()
-        c = Context(5, 6).one()
-        for other in (b, c):
-            with pytest.raises(ContextMismatch):
-                a + other
-            with pytest.raises(ContextMismatch):
-                a * other
+        for other in (Context(3, 7).one(), Context(5, 6).one()):
+            for op in (operator.add, operator.sub, operator.mul):
+                for left, right in ((a, other), (other, a)):
+                    with pytest.raises(ContextMismatch) as exc:
+                        op(left, right)
+                    assert str(exc.value) == f"{right.ctx} does not match {left.ctx}"
+
+    def test_int_operands_of_sub(self):
+        ctx = Context(5, 6)
+        rng = random.Random(37)
+        for _ in range(100):
+            a = random_element(rng, ctx)
+            for c in (rng.randint(-1000, 1000), True, False):
+                assert a - c == a - ctx.from_integer(c)
+                assert c - a == ctx.from_integer(c) - a
 
 
 class TestFromInteger:
@@ -287,9 +297,15 @@ class TestDivision:
         assert ctx.zero().div_p() == ctx.zero()
 
     def test_div_p_not_divisible(self):
+        # div_p raises exactly what the shift by p - 1 digits raises
         ctx = Context(5, 6)
-        with pytest.raises(NotDivisible):
-            ctx.one().div_p()
+        for a in (ctx.one(), ctx.uniformizer() ** 3, ctx.from_integer(2)):
+            with pytest.raises(NotDivisible) as shift:
+                a.div_pi_power(ctx.p - 1)
+            with pytest.raises(NotDivisible) as div:
+                a.div_p()
+            assert str(div.value) == str(shift.value)
+        assert str(div.value) == "valuation 0 < 4"
 
     def test_div_p_inverts_times_p(self):
         ctx = Context(3, 8)
