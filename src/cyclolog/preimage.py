@@ -10,17 +10,15 @@ tests/oracle_preimage.py keeps the paper's digit induction as the reference.
 from __future__ import annotations
 
 from .errors import BranchZero, NotInMSquared
-from .ring import Context, PiElement, PrincipalUnit, normalize
+from .ring import Context, PiElement, PrincipalUnit, _in_range
 from .series import pexp, plog
 
 
 def digit2_for_branch(y2: int, a1: int, ctx: Context) -> int:
     """The unique digit a2 with (a2 - a1^2/2) mod p equal to y2."""
     p = ctx.p
-    if not 0 <= y2 < p:
-        raise ValueError("y2 must lie in [0, p)")
-    if not 1 <= a1 < p:
-        raise BranchZero(f"branch a1 must lie in [1, {p}), got {a1}")
+    y2 = _in_range(y2, 0, p, "y2")
+    a1 = _in_range(a1, 1, p, "branch a1", BranchZero)
     return (y2 + a1 * a1 * pow(2, -1, p)) % p
 
 
@@ -33,8 +31,7 @@ def qr_pair_enumeration(y2: int, ctx: Context) -> set[tuple[int, int]]:
     Euler's criterion at these sizes.
     """
     p = ctx.p
-    if not 0 <= y2 < p:
-        raise ValueError("y2 must lie in [0, p)")
+    y2 = _in_range(y2, 0, p, "y2")
     roots_of: dict[int, list[int]] = {}
     for r in range(1, p):
         roots_of.setdefault(r * r % p, []).append(r)
@@ -60,12 +57,10 @@ def preimage(y: PiElement, branch: int) -> PrincipalUnit:
     So r matches the digit induction of the paper digit for digit.
     """
     ctx = y.ctx
-    p = ctx.p
     if y.digits[0] != 0 or y.digits[1] != 0:
         raise NotInMSquared("target digits 0 and 1 must be zero")
-    if not 1 <= branch < p:
-        raise BranchZero(f"branch must lie in [1, {p}), got {branch}")
-    u = normalize([1, branch], ctx)
+    branch = _in_range(branch, 1, ctx.p, "branch", BranchZero)
+    u = PiElement._make((1, branch) + (0,) * (ctx.precision - 2), ctx)
     return PrincipalUnit._make((u * pexp(y - plog(u))).digits, ctx)
 
 

@@ -10,10 +10,11 @@ is applied only inside :func:`_canonical`; nothing else in the package ever
 stores a digit outside [0, p).  Carries move strictly upward, so one pass in
 increasing position order canonicalizes any integer vector, and carries that
 land at or beyond the precision are exact multiples of pi^N and get dropped.
-Outside integers, int operands of +, - and * included (PiElement states the
-operand rule), enter only through PiElement(...) and normalize, which read
-each with operator.index: a bool becomes 0 or 1, a non-integer raises
-TypeError.  Elements the package computes are never checked again.
+Every outside integer is read with operator.index where it enters: digits and
+int operands of +, - and * (PiElement states the operand rule) at PiElement(...)
+and normalize, p and N at Context, a digit or branch at _in_range, and verify's
+cap where it is first compared.  A bool becomes 0 or 1; a non-integer, a float
+p, N or cap included, raises TypeError.  Computed elements are never checked again.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ PRECISION_CAP = 1 << 24
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
     if n % 2 == 0:
         return n == 2
     d = 3
@@ -61,13 +60,15 @@ class Context:
     precision: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 3:
+        object.__setattr__(self, "p", operator.index(self.p))  # frozen: store plain ints
+        object.__setattr__(self, "precision", operator.index(self.precision))
+        if self.p < 3:
             raise ValueError(f"p must be an odd prime >= 3, got {self.p!r}")
         if self.p > P_CAP:
             raise ValueError(f"p must be at most 2**20, got {self.p}")
         if not _is_prime(self.p):  # only after the cap, which bounds its trial division
             raise ValueError(f"p must be an odd prime >= 3, got {self.p!r}")
-        if not isinstance(self.precision, int) or self.precision < 4:
+        if self.precision < 4:
             raise ValueError(f"precision must be an integer >= 4, got {self.precision!r}")
         if self.precision > PRECISION_CAP:
             raise ValueError(f"precision must be at most 2**24, got {self.precision}")
@@ -96,6 +97,14 @@ class Context:
 
     def parse(self, text: str) -> PiElement:
         return parse_digits(text, self)
+
+
+def _in_range(value, low: int, p: int, what: str, error=ValueError) -> int:
+    """value read with operator.index; error unless it lies in [low, p)."""
+    value = operator.index(value)
+    if not low <= value < p:
+        raise error(f"{what} must lie in [{low}, {p}), got {value}")
+    return value
 
 
 def _canonical(raw: Iterable[int], p: int, n: int) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPrincipalUnit, ValuationTooSmall
-from .ring import Context, PiElement, PrincipalUnit, _canonical, _pack, _unpack
+from .ring import Context, PiElement, PrincipalUnit, _canonical, _in_range, _pack, _unpack
 
 
 def _floor_log(p: int, n: int) -> int:
@@ -245,14 +245,12 @@ def log_digit_formula(a1: int, a2: int, ctx: Context) -> int:
     (a2 - a1^2/2) mod p as the leading surviving digit.
     """
     p = ctx.p
-    if not (0 <= a1 < p and 0 <= a2 < p):
-        raise ValueError("digits must lie in [0, p)")
+    a1, a2 = _in_range(a1, 0, p, "a1"), _in_range(a2, 0, p, "a2")
     return (a2 - a1 * a1 * pow(2, -1, p)) % p
 
 
 def fermat_digit_check(a1: int, ctx: Context) -> bool:
     """True iff a1 - a1^p == 0 mod p; the cancellation that empties digit 1."""
     p = ctx.p
-    if not 0 <= a1 < p:
-        raise ValueError("digit must lie in [0, p)")
+    a1 = _in_range(a1, 0, p, "a1")
     return (a1 - pow(a1, p, p)) % p == 0

@@ -14,10 +14,11 @@ sampled check is a stream of (ok, witnesses) trials counted by one tally,
 _tally, and draws from a stream of its own, random.Random(f"{seed}:{name}"),
 so its report depends only on (p, N, seed, its name).  The roots of unity are
 certified by a generator: the first root z has z^p = 1 and z != 1, and z
-times each element of the group stays in it.  The cap bounds
-every check whose work grows with p or N, the sampled ones included (the
-round-trip and homomorphism checks count N^2), and run_all records a
-skipped-check marker instead of raising on a cap violation.
+times each element of the group stays in it.  Every check charges the cap
+(the round-trip and homomorphism checks count N^2), and run_all records a
+skipped-check marker instead of raising on a cap violation.  A charge counts
+elements, not their cost: residue_field, roots_of_unity, digit2_formula and
+preimage_soundness charge p, p, p^2 and 20*(p-1) whatever N is.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ import dataclasses
 import functools
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded
-from .ring import Context, PiElement, format_digits, normalize
+from .ring import Context, PiElement, format_digits
 from .series import log_digit_formula, pexp, plog
 from .preimage import digit2_for_branch, preimage_all, qr_pair_enumeration, roots_of_unity
 
@@ -97,6 +99,7 @@ class _Tables:
 
 
 def _require(total: int, cap: int) -> None:
+    cap = operator.index(cap)
     if total > cap:
         raise CapExceeded(total, cap)
 
@@ -104,9 +107,9 @@ def _require(total: int, cap: int) -> None:
 def _enumeration_count(lead: int, p: int, exponent: int, cap: int) -> int:
     """lead * p**exponent, exact up to max(cap, 10**18); past that it stops
     growing, still over the cap and small enough to print."""
-    total = lead
+    total, limit = lead, max(operator.index(cap), 10**18)
     for _ in range(exponent):
-        if total > max(cap, 10**18):
+        if total > limit:
             break
         total *= p
     return total
@@ -206,7 +209,7 @@ def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
     the u - 1 fill p classes mod pi^2 and their logs fall in the class of 0."""
     p = ctx.p
     _require(p, cap)
-    units = [normalize([1, a1], ctx) for a1 in range(p)]
+    units = [PiElement._make((1, a1) + (0,) * (ctx.precision - 2), ctx) for a1 in range(p)]
     m_mod = {(u - 1).digits[:2] for u in units}
     m2_mod = {plog(u).digits[:2] for u in units}
     cosets = len(m_mod) // len(m2_mod)

@@ -13,9 +13,16 @@ from cyclolog import (
     NotPrincipalUnit,
     PiElement,
     PrincipalUnit,
+    check_residue_field,
+    digit2_for_branch,
+    fermat_digit_check,
     format_digits,
+    log_digit_formula,
     normalize,
     parse_digits,
+    preimage,
+    qr_pair_enumeration,
+    run_all,
 )
 from cyclolog.ring import PRECISION_CAP, _mul
 
@@ -484,7 +491,8 @@ class TestElementTypes:
 
 
 class TestIntegerBoundary:
-    """Outside integers are read with operator.index, once, at the constructors."""
+    """Outside integers are read with operator.index, once, where they enter:
+    the constructors, Context, the digit and branch reader, and verify's cap."""
 
     @staticmethod
     def assert_exact_ints(a, digits):
@@ -515,6 +523,19 @@ class TestIntegerBoundary:
         self.assert_exact_ints(ctx.from_integer(Index(-1)), (2, 0, 1, 0, 0, 0))
         self.assert_exact_ints(PiElement([Index(2)] + [0] * 5, ctx), (2, 0, 0, 0, 0, 0))
 
+        assert log_digit_formula(Index(1), Index(2), ctx) == log_digit_formula(1, 2, ctx)
+        assert fermat_digit_check(Index(2), ctx) is fermat_digit_check(2, ctx)
+        assert digit2_for_branch(Index(1), Index(2), ctx) == digit2_for_branch(1, 2, ctx)
+        assert qr_pair_enumeration(Index(1), ctx) == qr_pair_enumeration(1, ctx)
+        y = PiElement((0, 0, 1, 2, 0, 1), ctx)
+        self.assert_exact_ints(preimage(y, Index(2)), preimage(y, 2).digits)
+
+        built = Context(Index(5), Index(6))
+        assert built == Context(5, 6) and hash(built) == hash(Context(5, 6))
+        assert type(built.p) is int and type(built.precision) is int
+        report = run_all(Context(3, 6), cap=Index(200))
+        assert report.to_json() == run_all(Context(3, 6), cap=200).to_json()
+
     @pytest.mark.parametrize("bad", [1.0, 1.5, "1", None])
     def test_non_integers_raise_type_error(self, bad):
         ctx = Context(5, 4)
@@ -526,6 +547,28 @@ class TestIntegerBoundary:
             normalize([1, bad], ctx)
         with pytest.raises(TypeError):
             ctx.from_integer(bad)
+        with pytest.raises(TypeError):
+            log_digit_formula(bad, 1, ctx)
+        with pytest.raises(TypeError):
+            log_digit_formula(1, bad, ctx)
+        with pytest.raises(TypeError):
+            fermat_digit_check(bad, ctx)
+        with pytest.raises(TypeError):
+            digit2_for_branch(bad, 1, ctx)
+        with pytest.raises(TypeError):
+            digit2_for_branch(1, bad, ctx)
+        with pytest.raises(TypeError):
+            qr_pair_enumeration(bad, ctx)
+        with pytest.raises(TypeError):
+            preimage(ctx.zero(), bad)
+        with pytest.raises(TypeError):
+            Context(bad, 4)
+        with pytest.raises(TypeError):
+            Context(5, bad)
+        with pytest.raises(TypeError):
+            run_all(ctx, cap=bad)
+        with pytest.raises(TypeError):
+            check_residue_field(ctx, cap=bad)
 
     def test_range_and_length_errors_keep_their_messages(self):
         ctx = Context(3, 4)

@@ -247,7 +247,8 @@ class TestRootsOfUnity:
 
 class TestComputedUnitsSkipRevalidation:
     # pexp, preimage and roots_of_unity wrap digits that are canonical and
-    # start with 1 by construction; none of them runs the PrincipalUnit checks
+    # start with 1 by construction, and preimage builds 1 + branch*pi the same
+    # way; none of them runs the PrincipalUnit checks or normalize
     @pytest.mark.parametrize("p,n", [(3, 8), (7, 5), (101, 8)])
     def test_results_match_without_the_constructor(self, p, n, monkeypatch):
         ctx = Context(p, n)
@@ -257,7 +258,12 @@ class TestComputedUnitsSkipRevalidation:
         def refuse(self, digits, ctx):
             raise AssertionError("computed unit re-validated")
 
+        def refuse_raw(raw, ctx):
+            raise AssertionError("computed unit normalized")
+
         monkeypatch.setattr(PrincipalUnit, "__init__", refuse)
+        # swapping the code object reaches every name normalize was imported as
+        monkeypatch.setattr(normalize, "__code__", refuse_raw.__code__)
         got = (pexp(y), preimage_all(y), roots_of_unity(ctx))
         assert got == expected
         for unit in [got[0], *got[1], *got[2]]:
