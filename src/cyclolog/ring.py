@@ -12,9 +12,11 @@ increasing position order canonicalizes any integer vector, and carries that
 land at or beyond the precision are exact multiples of pi^N and get dropped.
 Every outside integer is read with operator.index where it enters: digits and
 int operands of +, - and * (PiElement states the operand rule) at PiElement(...)
-and normalize, p and N at Context, a digit or branch at _in_range, and verify's
-cap where it is first compared.  A bool becomes 0 or 1; a non-integer, a float
-p, N or cap included, raises TypeError.  Computed elements are never checked again.
+and normalize, p and N at Context, the exponent of **, the k of the pi-power
+shifts and resize's precision in those methods, a digit or branch at _in_range,
+and verify's cap and seed where they are first used.  A bool becomes 0 or 1; a
+non-integer, a float p, N, exponent, cap or seed included, raises TypeError.
+Computed elements are never checked again.
 """
 
 from __future__ import annotations
@@ -245,8 +247,7 @@ class PiElement:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
+        exponent = operator.index(exponent)
         if exponent < 0:
             raise ValueError("negative exponents are not supported; use invert_unit")
         if exponent == 0:
@@ -309,6 +310,7 @@ class PiElement:
         The top k digits of the result are unknown at this precision and are
         filled with zeros; the reliable precision drops to N - k.
         """
+        k = operator.index(k)
         if k < 0:
             raise ValueError("k must be nonnegative")
         if self.valuation() < k:
@@ -317,6 +319,7 @@ class PiElement:
 
     def mul_pi_power(self, k: int) -> PiElement:
         """Exact multiplication by pi^k as an upward digit shift; digits pushed past pi^N drop."""
+        k = operator.index(k)
         if k < 0:
             raise ValueError("k must be nonnegative")
         k = min(k, self.ctx.precision)
@@ -329,10 +332,8 @@ class PiElement:
     def resize(self, precision: int) -> PiElement:
         """Truncate, or lift by zero padding, into a context of the given precision."""
         ctx2 = Context(self.ctx.p, precision)
-        d = self.digits[:precision]
-        if len(d) < precision:
-            d = d + (0,) * (precision - len(d))
-        return PiElement._make(d, ctx2)
+        d = self.digits[: ctx2.precision]
+        return PiElement._make(d + (0,) * (ctx2.precision - len(d)), ctx2)
 
     def expansion(self) -> str:
         """Human-readable pi-power expansion, e.g. '2·π^2 + 1·π^4'."""

@@ -24,6 +24,7 @@ from cyclolog import (
     qr_pair_enumeration,
     run_all,
 )
+from cyclolog import verify
 from cyclolog.ring import PRECISION_CAP, _mul
 
 
@@ -492,7 +493,8 @@ class TestElementTypes:
 
 class TestIntegerBoundary:
     """Outside integers are read with operator.index, once, where they enter:
-    the constructors, Context, the digit and branch reader, and verify's cap."""
+    the constructors, Context, the digit and branch reader, the exponent of
+    **, the pi-power shifts, resize, and verify's cap and seed."""
 
     @staticmethod
     def assert_exact_ints(a, digits):
@@ -510,7 +512,7 @@ class TestIntegerBoundary:
         self.assert_exact_ints(ctx.element([False, True]), (0, 1, 0, 0))
         self.assert_exact_ints(ctx.one() * True, (1, 0, 0, 0))
 
-    def test_integer_likes_are_read_with_index(self):
+    def test_integer_likes_are_read_with_index(self, monkeypatch):
         class Index:
             def __init__(self, v):
                 self.v = v
@@ -535,6 +537,25 @@ class TestIntegerBoundary:
         assert type(built.p) is int and type(built.precision) is int
         report = run_all(Context(3, 6), cap=Index(200))
         assert report.to_json() == run_all(Context(3, 6), cap=200).to_json()
+
+        x = ctx.uniformizer()
+        assert x ** Index(2) == x**2 and (x + 1) ** Index(5) == (x + 1) ** 5
+        self.assert_exact_ints(x.div_pi_power(Index(1)), x.div_pi_power(1).digits)
+        self.assert_exact_ints(x.mul_pi_power(Index(1)), x.mul_pi_power(1).digits)
+        lifted = x.resize(Index(8))
+        assert lifted == x.resize(8) and type(lifted.ctx.precision) is int
+
+        # a faulty plog makes the report depend on the random streams, which
+        # are named by the seed read with operator.index
+        real = verify.plog
+
+        def faulty(u):
+            return real(u) + (u.digits[-1] == 1) * u.ctx.uniformizer().mul_pi_power(3)
+
+        monkeypatch.setattr(verify, "plog", faulty)
+        want = run_all(Context(5, 5), seed=1).to_json()
+        assert run_all(Context(5, 5), seed=True).to_json() == want
+        assert run_all(Context(5, 5), seed=Index(1)).to_json() == want
 
     @pytest.mark.parametrize("bad", [1.0, 1.5, "1", None])
     def test_non_integers_raise_type_error(self, bad):
@@ -569,6 +590,17 @@ class TestIntegerBoundary:
             run_all(ctx, cap=bad)
         with pytest.raises(TypeError):
             check_residue_field(ctx, cap=bad)
+        with pytest.raises(TypeError):
+            run_all(ctx, seed=bad)
+        x = ctx.uniformizer()
+        with pytest.raises(TypeError):
+            x**bad
+        with pytest.raises(TypeError):
+            x.div_pi_power(bad)
+        with pytest.raises(TypeError):
+            x.mul_pi_power(bad)
+        with pytest.raises(TypeError):
+            x.resize(bad)
 
     def test_range_and_length_errors_keep_their_messages(self):
         ctx = Context(3, 4)

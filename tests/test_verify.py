@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from cyclolog import (
     plog,
     run_all,
 )
-from cyclolog import verify
+from cyclolog import cli, series, verify
 from cyclolog.verify import _image_mismatch
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,6 +67,23 @@ class TestSquareIso:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             check_square_iso(Context(5, 6), cap=10)
+
+    def test_a_log_outside_m_squared_is_counted_not_raised(self, monkeypatch):
+        # plog off by pi on the square units whose top digit is 1: a third of
+        # the logs leave m_K^2, and pexp must never see them
+        real = verify.plog
+
+        def shifted(u):
+            y = real(u)
+            return y + u.ctx.uniformizer() if u.digits[1] == 0 and u.digits[-1] == 1 else y
+
+        monkeypatch.setattr(verify, "plog", shifted)
+        result = check_square_iso(Context(3, 5))
+        assert not result.passed
+        assert result.counts["outside_m_squared"] == 9
+        assert result.counts["roundtrip_failures"] == 0
+        moved = sorted((1, 0, a2, a3, 1) for a2 in range(3) for a3 in range(3))
+        assert result.witnesses == [",".join(map(str, u)) for u in moved[:5]]
 
 
 class TestFullImageAndIndex:
@@ -198,6 +216,41 @@ class TestRunAll:
         checks = {c.name: c for c in run_all(Context(1009, 4), seed=0, cap=100).checks}
         lift = checks["lift_independence"]
         assert lift.passed and lift.counts == {"samples": 20, "failures": 0}
+
+    def test_exp_log_roundtrip_counts_a_log_outside_m_squared(self, monkeypatch):
+        real = verify.plog
+        monkeypatch.setattr(
+            verify, "plog", lambda u: real(u) + u.ctx.uniformizer() if u.digits[1] == 0 else real(u)
+        )
+        result = verify._check_exp_log_roundtrip(
+            Context(5, 5), random.Random("0:exp_log_roundtrip"), verify.DEFAULT_CAP
+        )
+        assert not result.passed
+        assert result.counts == {"samples": 40, "failures": 40}
+        assert len(result.witnesses) == 5
+
+    @pytest.mark.parametrize("p,n", [(3, 6), (7, 5)])
+    def test_fermat_fault_is_reported(self, p, n, monkeypatch, capsys):
+        # plog without its n = p term loses the cancellation a1 - a1^p = 0 mod p
+        # in digit 1; the checks that reach pexp through preimage record the
+        # domain error instead of raising it
+        shift_sum = series._shift_sum
+
+        def dropping(const, w, terms):
+            return shift_sum(const, w, [t for t in terms if t[0] != p])
+
+        monkeypatch.setattr(series, "_shift_sum", dropping)
+        checks = {c.name: c for c in run_all(Context(p, n), seed=0).checks}
+        annulus = checks["annulus_image"]
+        assert not annulus.passed
+        assert annulus.counts["outside_m_squared"] == annulus.counts["units"]
+        for name in ("preimage_soundness", "preimage_matches_fiber", "roots_of_unity"):
+            assert not checks[name].passed
+            assert checks[name].counts == {"error": 1}
+            assert len(checks[name].witnesses) == 1
+            assert checks[name].witnesses[0].startswith("error: ValuationTooSmall")
+        assert cli.main(["verify", "--p", str(p), "--prec", str(n)]) == 1
+        assert capsys.readouterr().out.endswith("some checks FAILED\n")
 
     def test_p2_rejected_at_context(self):
         with pytest.raises(ValueError):
@@ -351,6 +404,19 @@ class TestClosureCertificate:
         broken = _m_squared(ctx) | {pi}
         assert _image_mismatch(ctx, broken) == ({pi}, set())
         assert _pairwise_closure_failures(broken, ctx) > 0
+
+    def test_builds_no_copy_of_m_squared(self):
+        # m_K^2 at (3,10) has 6561 members; walking it holds one at a time
+        ctx = Context(3, 10)
+        m_squared = _m_squared(ctx)
+        tracemalloc.start()
+        try:
+            mismatch = _image_mismatch(ctx, m_squared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mismatch == (set(), set())
+        assert peak < 64 * 1024
 
     def test_zero_is_required(self):
         ctx = Context(3, 5)
