@@ -16,6 +16,9 @@ in F_p[pi]; for p | n, Frobenius collapses w^n to the integer w_0^n mod p,
 and the term is one digit at position s.  When N <= p - 1 and v = 1 that is
 the term n = p, x^p/p = -pi * w^p: digit 1 of the log is a1 - a1^p = 0,
 the Fermat cancellation that puts the image in m^2.
+
+No choice above reads a digit of w: _schedule makes them all once per plan,
+from (terms, p, N) and bounds, and _run carries the plan out for any w.
 """
 
 from __future__ import annotations
@@ -31,15 +34,6 @@ def _floor_log(p: int, n: int) -> int:
     while p ** (k + 1) <= n:
         k += 1
     return k
-
-
-def _split_p(n: int, p: int) -> tuple[int, int]:
-    """n = p**k * m with m coprime to p."""
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k, n
 
 
 @dataclass(frozen=True)
@@ -90,14 +84,15 @@ def _inverse_modulus(ctx: Context) -> int:
     """p**M with M*(p-1) >= precision, so p**M = 0 mod pi^precision.
 
     For m coprime to p, pow(m, -1, p**M) therefore agrees digitwise with
-    invert_unit(from_integer(m)).  plog and pexp compute it once per call and
-    invert each signed series coefficient against it, so every c is the
-    nonnegative integer that _shift_sum packs.
+    invert_unit(from_integer(m)).  _log_terms and _exp_terms compute it once
+    per plan and invert each signed series coefficient against it, so every c
+    is the nonnegative integer that _run packs.
     """
     return ctx.p ** -(-ctx.precision // (ctx.p - 1))
 
 
 _LIMB = 1 << 64  # every limb of a packed value stays below this
+_FROBENIUS, _JOIN, _CARRY_JOIN, _RAW = "frobenius", "join", "carry-then-join", "raw"
 
 
 def _carry(x: int, p: int, n: int) -> int:
@@ -105,137 +100,165 @@ def _carry(x: int, p: int, n: int) -> int:
     return _pack(_canonical(_unpack(x, n), p, n), n)
 
 
-def _times(x: int, a: int, y: int, p: int, n: int) -> tuple[int, int]:
-    """Packed x*y mod pi^n and a bound on its limbs, from the first n limbs of
-    packed x, which are at most a, and of packed y, which are canonical.
+def _log_terms(ctx: Context, v: int) -> list[tuple[int, int, int]]:
+    """plog's terms (n, s, c) at valuation v, sorted by n.
 
-    Limb j < n of the product sums at most n products of limbs, so it is at
-    most n*a*(p-1).  Only when that could reach 2**64 is x carried first; a
-    carried x always fits, since n*(p-1)**2 < 2**64 (ring.P_CAP).
+    With n = p**k * m, x^n/n has c = (-1)^(n+1+k)/m and s = n*v - (p-1)*k.
+    The least s of each k, p**k * v - (p-1)*k, is nondecreasing in k, so the
+    k loop stops where it reaches N.
     """
-    mask = (1 << 64 * n) - 1
-    if n * a * (p - 1) >= _LIMB:
-        x, a = _carry(x, p, n), p - 1
-    return ((x & mask) * (y & mask)) & mask, n * a * (p - 1)
+    p, N = ctx.p, ctx.precision
+    modulus = _inverse_modulus(ctx)
+    terms = []
+    k, pk = 0, 1  # pk = p**k
+    while pk * v - (p - 1) * k < N:
+        for m in range(1, (N - 1 + (p - 1) * k) // (pk * v) + 1):
+            if m % p:
+                n = pk * m
+                terms.append((n, n * v - (p - 1) * k, pow(m if (n + k) % 2 else -m, -1, modulus)))
+        k, pk = k + 1, pk * p
+    return sorted(terms)
 
 
-def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> PiElement:
-    """const + sum(c * pi^s * w^n for n, s, c in terms), with terms sorted by n
-    and every c >= 0.
+def _exp_terms(ctx: Context, v: int) -> list[tuple[int, int, int]]:
+    """pexp's terms (n, s, c) at valuation v, sorted by n.
+
+    With n! = p**k * m, x^n/n! has c = (-1)^k/m and s = n*v - (p-1)*k, which
+    Legendre's formula makes n*(v-1) + s_p(n) > n, so only n < N contribute.
+    """
+    p, N = ctx.p, ctx.precision
+    modulus = _inverse_modulus(ctx)
+    terms = []
+    k, m = 0, 1  # n! = p**k * m with m coprime to p
+    for n in range(1, N):
+        j = n
+        while j % p == 0:
+            j, k = j // p, k + 1
+        m *= j
+        s = n * v - (p - 1) * k
+        if s < N:
+            terms.append((n, s, pow(-m if k % 2 else m, -1, modulus)))
+    return terms
+
+
+def _schedule(terms: list[tuple[int, int, int]], p: int, N: int) -> tuple[int, list[tuple]]:
+    """The plan (most, steps) of const + sum(c * pi^s * w^n for n, s, c in
+    terms), with terms sorted by n and every c >= 0, for any w.
+
+    A term reads only N - s digits of w^n, so w^n is formed mod pi^length
+    with length = max(N - s_j) over the terms from it on: the lengths never
+    grow, and the next power is this one times w, once per step of n, at
+    the same length.  w is packed once, to `most` digits, and the powers
+    stay packed and uncarried with a bound on their limbs.  Each term is a
+    step (kind, n, s, c, length, mask, carries): mask covers `length` limbs,
+    and carries holds one flag per product by w before the term, true where
+    the power is carried first because a limb of the product could reach
+    2**64.  The bounds fix one of four kinds per term:
+
+    - "frobenius", where N - s <= p - 1 and p | n, length 0: the single
+      digit c * w_0^n mod p at position s, with no power formed, which
+      spares about p products per n = p term at p near 2**20;
+    - "join": c*w^n shifted into the packed total, while total's bound
+      plus c times the power's bound stays below 2**64, on nearly every term;
+    - "carry-then-join", where only the power's uncarried bound is too
+      large: one carry of the power still lets the term join the total;
+    - "raw", where even a carried power would take total's bound to 2**64
+      (c near p**(N/(p-1)) at p = 3): the power's limbs are added into an
+      integer vector, the one place exact for any c.
+
+    Where N - s <= p - 1, p is 0 mod pi^(N-s) and w^n is taken in F_p[pi].
+    For n = p^k * m with k >= 1, Frobenius makes w^n = (w^m)^(p^k) the sum of
+    b_i^(p^k) * pi^(i*p^k) over the digits b_i of w^m; pi^(p^k) vanishes, so
+    w^n = b_0^(p^k) = w_0^n mod p.
+    """
+    need, most = [], 0  # need 0 marks a Frobenius digit
+    for n, s, _ in reversed(terms):
+        if N - s < p and n % p == 0:
+            need.append(0)
+        else:
+            if N - s > most:
+                most = N - s
+            need.append(most)
+    top = p - 1  # the limb bound of canonical digits
+    steps, bound, pb, done = [], 0, top, 1  # pb bounds the limbs of w^done
+    for (n, s, c), length in zip(terms, reversed(need)):
+        if not length:
+            steps.append((_FROBENIUS, n, s, c, 0, 0, ()))
+            continue
+        carries, grow = [], length * top
+        while done < n:
+            # a limb of power*w sums length limb products; carried, it fits (ring.P_CAP)
+            carry = pb * grow >= _LIMB
+            carries.append(carry)
+            pb = (top if carry else pb) * grow
+            done += 1
+        if bound + c * pb < _LIMB:
+            kind, bound = _JOIN, bound + c * pb
+        elif bound + c * top < _LIMB:
+            kind, pb, bound = _CARRY_JOIN, top, bound + c * top
+        else:
+            kind = _RAW
+        steps.append((kind, n, s, c, length, (1 << 64 * length) - 1, carries))
+    return most, steps
+
+
+def _run(const: int, wd: tuple[int, ...], schedule: tuple, p: int, N: int) -> tuple[int, ...]:
+    """Canonical digits of the sum a _schedule plans, at w with digits wd.
 
     The sum is an integer vector raw, plus a packed integer total whose limb
     s + j holds c*d for each digit d of w^n, j < N - s; one _canonical call
     carries raw + total.  The digits match a term-by-term ring sum:
     _canonical canonicalizes any integer vector exactly, and
     pi^s * (c*w^n mod pi^N) = c*pi^s*w^n mod pi^N.
-
-    A term reads only N - s digits of w^n, so w^n is formed mod pi^need[i]
-    with need[i] = max(N - s_j for j >= i): the lengths never grow, and the
-    next power is this one times w, once per step of n, at the same length.
-    w is packed once, and the powers stay packed and uncarried, with a bound
-    on their limbs; _times carries the power only when a limb of its product
-    with w could reach 2**64.  Each term takes one of four paths:
-
-    - a Frobenius digit, below, where N - s <= p - 1 and p | n: it forms no
-      power, which spares about p products per n = p term at p near 2**20;
-    - the packed join, c*w^n shifted into total, while total's bound plus c
-      times the power's bound stays below 2**64: one bigint addition
-      instead of N - s list entries, on nearly every term;
-    - carry-then-join, where only the power's uncarried bound is too
-      large: one carry of the power still lets the term join total;
-    - the raw fallback, where even a carried power would take total's
-      bound to 2**64 (c near p**(N/(p-1)) at p = 3): the power's limbs are
-      added into raw, the one place exact for any c.
-
-    Where N - s <= p - 1, p is 0 mod pi^(N-s) and w^n is taken in F_p[pi].
-    For n = p^k * m with k >= 1, Frobenius makes w^n = (w^m)^(p^k) the sum of
-    b_i^(p^k) * pi^(i*p^k) over the digits b_i of w^m; pi^(p^k) vanishes, so
-    w^n = b_0^(p^k) = w_0^n mod p.  Such a term is the single digit
-    c * w_0^n mod p at position s, and forms no power.  In plog with v = 1 the
-    term n = p has s = 1 and c = -1 mod p**M: it adds -a1^p to the a1 of the
-    term n = 1, so digit 1 is a1 - a1^p = 0 mod p.
     """
-    ctx = w.ctx
-    p, N = ctx.p, ctx.precision
-    wd = w.digits
+    most, steps = schedule
     raw = [const] + [0] * (N - 1)
-    need, most = [], 0  # need 0 marks a Frobenius digit
-    for n, s, _ in reversed(terms):
-        if N - s < p and n % p == 0:
-            need.append(0)
-        else:
-            most = max(most, N - s)
-            need.append(most)
-    top = p - 1  # the limb bound of canonical digits
-    total = bound = 0
-    packed_w = power = _pack(wd, most)  # packed w^done, limbs at most pb
-    pb, done = top, 1
-    for (n, s, c), length in zip(terms, reversed(need)):
-        if not length:
+    total = 0
+    packed_w = power = _pack(wd, most)  # packed w^n, n the last term's
+    for kind, n, s, c, length, mask, carries in steps:
+        if kind is _FROBENIUS:
             raw[s] += c * pow(wd[0], n, p)
             continue
-        while done < n:
-            power, pb = _times(power, pb, packed_w, p, length)
-            done += 1
-        if bound + c * pb >= _LIMB:
-            if bound + c * top >= _LIMB:
-                raw[s:] = [r + c * d for r, d in zip(raw[s:], _unpack(power, N - s))]
-                continue
-            power, pb = _carry(power, p, length), top
+        for carry in carries:
+            if carry:
+                power = _carry(power, p, length)
+            power = (power & mask) * (packed_w & mask) & mask
+        if kind is _RAW:
+            raw[s:] = [r + c * d for r, d in zip(raw[s:], _unpack(power, N - s))]
+            continue
+        if kind is _CARRY_JOIN:
+            power = _carry(power, p, length)
         total += c * power << 64 * s
-        bound += c * pb
     if total:
         raw = [r + t for r, t in zip(raw, _unpack(total, N))]
-    return PiElement._make(_canonical(raw, p, N), ctx)
+    return _canonical(raw, p, N)
+
+
+def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> PiElement:
+    """const + sum(c * pi^s * w^n for n, s, c in terms), with terms sorted by n
+    and every c >= 0: _run of the terms' _schedule, for one w."""
+    p, N = w.ctx.p, w.ctx.precision
+    return PiElement._make(_run(const, w.digits, _schedule(terms, p, N), p, N), w.ctx)
 
 
 def plog(u: PiElement) -> PiElement:
-    """p-adic logarithm of a principal unit, canonical mod pi^N; digits 0 and 1 are zero.
-
-    With x = u - 1 and n = p**k * m, x^n/n has c = (-1)^(n+1+k)/m and
-    s = n*v - (p-1)*k.  The least s of each k, p**k * v - (p-1)*k, is
-    nondecreasing in k, so the k loop stops where it reaches N.
-    """
+    """p-adic logarithm of a principal unit, canonical mod pi^N; digits 0 and 1 are zero."""
     if u.digits[0] != 1:
         raise NotPrincipalUnit(f"digit 0 is {u.digits[0]}, expected 1")
     ctx = u.ctx
-    p, N = ctx.p, ctx.precision
     x = PiElement._make((0,) + u.digits[1:], ctx)  # u - 1, already canonical
     v = x.valuation()
-    modulus = _inverse_modulus(ctx)
-    terms = []
-    k = 0
-    while p**k * v - (p - 1) * k < N:
-        for m in range(1, (N - 1 + (p - 1) * k) // (p**k * v) + 1):
-            if m % p:
-                n = p**k * m
-                c = pow((-1) ** (n + 1 + k) * m, -1, modulus)
-                terms.append((n, n * v - (p - 1) * k, c))
-        k += 1
-    return _shift_sum(0, x.div_pi_power(v), sorted(terms))
+    w = PiElement._make(x.digits[v:] + (0,) * v, ctx)  # x / pi^v, v its valuation
+    return _shift_sum(0, w, _log_terms(ctx, v))
 
 
 def pexp(x: PiElement) -> PrincipalUnit:
-    """p-adic exponential sum(x^n / n!), defined for valuation(x) >= 2.
-
-    With n! = p**k * m, x^n/n! has c = (-1)^k/m and s = n*v - (p-1)*k, which
-    Legendre's formula makes n*(v-1) + s_p(n) > n, so only n < N contribute.
-    """
+    """p-adic exponential sum(x^n / n!), defined for valuation(x) >= 2."""
     v = x.valuation()
     if v < 2:
         raise ValuationTooSmall(f"valuation {v} < 2, outside the convergence domain")
-    ctx = x.ctx
-    p, N = ctx.p, ctx.precision
-    modulus = _inverse_modulus(ctx)
-    terms = []
-    k, m = 0, 1
-    for n in range(1, N):
-        dk, dm = _split_p(n, p)
-        k, m = k + dk, m * dm
-        s = n * v - (p - 1) * k
-        if s < N:
-            terms.append((n, s, pow((-1) ** k * m, -1, modulus)))
-    return PrincipalUnit._make(_shift_sum(1, x.div_pi_power(v), terms).digits, ctx)
+    w = PiElement._make(x.digits[v:] + (0,) * v, x.ctx)  # x / pi^v, v its valuation
+    return PrincipalUnit._make(_shift_sum(1, w, _exp_terms(x.ctx, v)).digits, x.ctx)
 
 
 def log_digit_formula(a1: int, a2: int, ctx: Context) -> int:

@@ -3,7 +3,9 @@ with machine-readable reports.
 
 run_all enumerates the annulus units and the units of 1 + m_K^2 once each, on
 first use within the cap, into tables from log digits to unit digits that
-every exhaustive check reads.  An exhaustive check takes the run's tables or,
+every exhaustive check reads.  A table plans plog's series once per valuation
+and runs the plan on each unit, and square_isomorphism does the same for pexp;
+no plan outlives the call.  An exhaustive check takes the run's tables or,
 called on its own, builds its own, and charges the cap before it touches a
 table.  One prefix test, digits 0 and 1 zero, decides membership in m_K^2,
 and every log passes it before pexp sees it.  Counts are exact and failures
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, CyclologError
 from .ring import Context, PiElement, format_digits
-from .series import log_digit_formula, pexp, plog
+from .series import _exp_terms, _log_terms, _run, _schedule, log_digit_formula, pexp, plog
 from .preimage import digit2_for_branch, preimage_all, qr_pair_enumeration, roots_of_unity
 
 DEFAULT_CAP = 10_000_000
@@ -72,14 +74,25 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _planned(x: tuple[int, ...], const: int, terms_of, plans: dict, ctx: Context) -> tuple:
+    """Digits of plog(1 + x) for (0, _log_terms), or of pexp(x) for (1, _exp_terms),
+    at the digits x; each valuation of x is scheduled once, into plans."""
+    N = ctx.precision
+    v = next((i for i, d in enumerate(x) if d), N)
+    if v not in plans:
+        plans[v] = _schedule(terms_of(ctx, v), ctx.p, N)
+    return _run(const, x[v:] + (0,) * v, plans[v], ctx.p, N)
+
+
 def _log_table(ctx: Context, leads) -> _LogTable:
     """{plog digits: [unit digits]} over the units 1 + a1*pi + ... with a1 in
     `leads`, in enumeration order, which is increasing digit order."""
     table: _LogTable = {}
+    plans = {}
     for a1 in leads:
         for tail in itertools.product(range(ctx.p), repeat=ctx.precision - 2):
-            u = (1, a1) + tail
-            table.setdefault(plog(PiElement._make(u, ctx)).digits, []).append(u)
+            lg = _planned((0, a1) + tail, 0, _log_terms, plans, ctx)
+            table.setdefault(lg, []).append((1, a1) + tail)
     return table
 
 
@@ -163,12 +176,12 @@ def check_square_iso(
     _require(total, cap)
     tables = _Tables(ctx) if tables is None else tables
     images = tables.squares
-    outside, unrecovered = [], []
+    outside, unrecovered, plans = [], [], {}
     for lg, units in images.items():
         if lg[0] or lg[1]:
             outside += units
             continue
-        back = pexp(PiElement._make(lg, ctx)).digits
+        back = _planned(lg, 1, _exp_terms, plans, ctx)
         unrecovered += (u for u in units if u != back)
     passed = not outside and not unrecovered and len(images) == total
     counts = {

@@ -1,0 +1,33 @@
+"""A fault in verify's logs, injected where verify takes them: at verify.plog,
+which the sampled checks call, and at the exhaustive tables' per-unit
+evaluation, verify._planned."""
+
+from __future__ import annotations
+
+from cyclolog import PiElement
+from cyclolog import verify
+
+
+def inject_log_fault(monkeypatch, fault) -> None:
+    """Add fault(digits, ctx), an element or None, to the log of the unit with
+    those digits.  fault reads digits 1 on, which u and u - 1 share: the
+    tables evaluate the log at the digits of u - 1."""
+    real_plog, real_planned = verify.plog, verify._planned
+
+    def plog(u):
+        y, error = real_plog(u), fault(u.digits, u.ctx)
+        return y if error is None else y + error
+
+    def planned(x, const, terms_of, plans, ctx):
+        y = real_planned(x, const, terms_of, plans, ctx)
+        error = fault(x, ctx) if terms_of is verify._log_terms else None
+        return y if error is None else (PiElement(y, ctx) + error).digits
+
+    monkeypatch.setattr(verify, "plog", plog)
+    monkeypatch.setattr(verify, "_planned", planned)
+
+
+def golden_fault(digits, ctx):
+    """The fault of golden/verify_p5_n5_seed3_faulty_plog.json: the log off by
+    pi^(N-1) on every unit whose top digit is 1."""
+    return ctx.uniformizer().mul_pi_power(ctx.precision - 2) if digits[-1] == 1 else None

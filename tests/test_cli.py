@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from cyclolog import Context, parse_digits, plog
-from cyclolog import cli, verify
+from cyclolog import cli
 from cyclolog.cli import build_parser, main
 from cyclolog.errors import CapExceeded, CyclologError, DigitStringError
+
+from faults import golden_fault, inject_log_fault
 
 
 def run_cli(argv, capsys):
@@ -196,17 +198,8 @@ class TestVerifyCommand:
         assert out == golden.read_text()
 
     def test_failing_human_output_matches_golden(self, capsys, monkeypatch):
-        # the fault of tests/test_verify.py's failing golden: plog off by
-        # pi^(N-1) on every unit whose top digit is 1
-        real = verify.plog
-
-        def faulty(u):
-            y = real(u)
-            if u.digits[-1] == 1:
-                return y + u.ctx.uniformizer().mul_pi_power(u.ctx.precision - 2)
-            return y
-
-        monkeypatch.setattr(verify, "plog", faulty)
+        # the fault of tests/test_verify.py's failing golden
+        inject_log_fault(monkeypatch, golden_fault)
         code, out, _ = run_cli(["verify", "--p", "5", "--prec", "5", "--seed", "3"], capsys)
         golden = Path(__file__).parent / "golden" / "verify_p5_n5_seed3_faulty_plog.json"
         lines = out.splitlines()

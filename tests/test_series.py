@@ -16,8 +16,7 @@ from cyclolog import (
     preimage,
 )
 from cyclolog import series
-from cyclolog.ring import _canonical, _mul, _pack, _unpack
-from cyclolog.series import _inverse_modulus, _times
+from cyclolog.series import _exp_terms, _inverse_modulus, _log_terms, _run, _schedule
 
 from oracle_charp import charp_exp_digits, charp_log_digits
 from oracle_series import naive_plog, poly_log_digits, term_by_term_sum
@@ -278,40 +277,59 @@ class TestShortcutsMatchTermByTermSum:
         assert got == want
 
 
+def product_lengths(schedule):
+    """The length of each product by w that a schedule forms, in order."""
+    _, steps = schedule
+    return [length for _, _, _, _, length, _, carries in steps for _ in carries]
+
+
 class TestSeriesKernelLengths:
-    def record_lengths(self, monkeypatch):
-        lengths = []
-        times = series._times
-
-        def recording(x, a, y, p, n):
-            lengths.append(n)
-            return times(x, a, y, p, n)
-
-        monkeypatch.setattr(series, "_times", recording)
-        return lengths
-
     @pytest.mark.parametrize("p,n", [(101, 32), (1048573, 16)])
-    def test_no_product_for_the_p_th_term(self, p, n, monkeypatch):
+    def test_no_product_for_the_p_th_term(self, p, n):
         # v = 1 plans n = 1 .. N-1 at s = n, and n = p at s = 1, a Frobenius
         # digit; w^n for n >= 2 is one product at N - n digits
-        u, _ = units_of_valuation(random.Random(7), Context(p, n), 1)
-        lengths = self.record_lengths(monkeypatch)
-        plog(u)
-        assert lengths == list(range(n - 2, 0, -1))
+        schedule = _schedule(_log_terms(Context(p, n), 1), p, n)
+        assert [step[:5] for step in schedule[1] if step[1] == p] == [("frobenius", p, 1, p - 1, 0)]
+        assert product_lengths(schedule) == list(range(n - 2, 0, -1))
 
-    def test_lengths_never_grow_within_a_call(self, monkeypatch):
+    def test_lengths_never_grow_within_a_call(self):
         ctx = Context(3, 64)
-        rng = random.Random(11)
-        lengths = self.record_lengths(monkeypatch)
         for v in (1, 2, 3):
-            u, x = units_of_valuation(rng, ctx, v)
-            for f, arg in ((plog, u), (pexp, x)):
-                if f is pexp and v < 2:
+            for terms_of in (_log_terms, _exp_terms):
+                if terms_of is _exp_terms and v < 2:
                     continue
-                lengths.clear()
-                f(arg)
+                lengths = product_lengths(_schedule(terms_of(ctx, v), 3, 64))
                 assert lengths and max(lengths) <= ctx.precision
-                assert lengths == sorted(lengths, reverse=True), (f.__name__, v)
+                assert lengths == sorted(lengths, reverse=True), (terms_of.__name__, v)
+
+
+class TestStepKinds:
+    def test_every_kind_occurs(self):
+        # (101,32) joins, carries a power to join it and takes the n = p digit;
+        # at (7,256) most coefficients are too large for the packed sum
+        kinds = {}
+        for p, n in [(101, 32), (7, 256)]:
+            for kind, *_ in _schedule(_log_terms(Context(p, n), 1), p, n)[1]:
+                kinds.setdefault(kind, (p, n))
+        assert kinds == {
+            "join": (101, 32),
+            "carry-then-join": (101, 32),
+            "frobenius": (101, 32),
+            "raw": (7, 256),
+        }
+
+    @pytest.mark.parametrize("p,n", [(3, 256), (7, 256)])
+    def test_raw_fallback_matches_the_oracles(self, p, n):
+        ctx = Context(p, n)
+        rng = random.Random(p)
+        terms = _log_terms(ctx, 1)
+        schedule = _schedule(terms, p, n)
+        assert any(step[0] == "raw" for step in schedule[1])
+        # the top digit of w is never read; all p - 1 makes every limb its largest
+        for w in ((rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(n - 1)), (p - 1,) * n):
+            got = _run(0, w, schedule, p, n)
+            assert got == term_by_term_sum(0, PiElement(w, ctx), terms).digits
+            assert got == poly_log_digits((1,) + w[:-1], p, n)
 
 
 def count_calls(monkeypatch, name):
@@ -328,25 +346,24 @@ def count_calls(monkeypatch, name):
 
 
 class TestCarryRule:
-    # x's limbs lie below 2**e, so its bound is a = 2**e - 1, and y is
-    # canonical; that forces no carry while n*a*(p-1) < 2**64, and one otherwise
-    @pytest.mark.parametrize(
-        "p,n,e,carries",
-        [(3, 8, 28, 0), (3, 8, 62, 1), (1048573, 16, 21, 0), (1048573, 16, 45, 1)],
-    )
-    def test_times_matches_mul_on_the_carried_operands(self, p, n, e, carries, monkeypatch):
-        rng = random.Random(e)
-        carry = count_calls(monkeypatch, "_carry")
-        for _ in range(20):
-            x = [rng.randrange(1 << e) for _ in range(n)]
-            y = [rng.randrange(p) for _ in range(n)]
-            carry.clear()
-            got, bound = _times(_pack(x, n), (1 << e) - 1, _pack(y, n), p, n)
-            assert len(carry) == carries
-            limbs = _unpack(got, n)
-            assert max(limbs) <= bound
-            assert got >> 64 * n == 0
-            assert _canonical(limbs, p, n) == _mul(_canonical(x, p, n), y, p, n)
+    # w all p - 1 gives every uncarried power and the packed sum their
+    # largest limbs, so a missing carry would overflow a limb and show here
+    @pytest.mark.parametrize("p,n", [(3, 64), (101, 32), (1048573, 16), (7, 256)])
+    def test_largest_limbs_match_term_by_term_sum(self, p, n):
+        ctx = Context(p, n)
+        w = (p - 1,) * n
+        carried = 0  # powers carried before a product or before joining the sum
+        for v in (1, 2, 3):
+            for const, terms_of in ((0, _log_terms), (1, _exp_terms)):
+                if terms_of is _exp_terms and v < 2:
+                    continue
+                terms = terms_of(ctx, v)
+                schedule = _schedule(terms, p, n)
+                for kind, *_, carries in schedule[1]:
+                    carried += sum(carries) + (kind == "carry-then-join")
+                want = term_by_term_sum(const, PiElement(w, ctx), terms).digits
+                assert _run(const, w, schedule, p, n) == want, (terms_of.__name__, v)
+        assert carried
 
     @pytest.mark.parametrize("p,n", [(1048573, 16), (3, 64)])
     def test_power_carries_match_term_by_term_sum(self, p, n, monkeypatch):

@@ -14,11 +14,14 @@ from cyclolog import (
     check_full_image_and_index,
     check_residue_field,
     check_square_iso,
+    pexp,
     plog,
     run_all,
 )
 from cyclolog import cli, series, verify
 from cyclolog.verify import _image_mismatch
+
+from faults import golden_fault, inject_log_fault
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,13 +74,10 @@ class TestSquareIso:
     def test_a_log_outside_m_squared_is_counted_not_raised(self, monkeypatch):
         # plog off by pi on the square units whose top digit is 1: a third of
         # the logs leave m_K^2, and pexp must never see them
-        real = verify.plog
+        def shifted(digits, ctx):
+            return ctx.uniformizer() if digits[1] == 0 and digits[-1] == 1 else None
 
-        def shifted(u):
-            y = real(u)
-            return y + u.ctx.uniformizer() if u.digits[1] == 0 and u.digits[-1] == 1 else y
-
-        monkeypatch.setattr(verify, "plog", shifted)
+        inject_log_fault(monkeypatch, shifted)
         result = check_square_iso(Context(3, 5))
         assert not result.passed
         assert result.counts["outside_m_squared"] == 9
@@ -234,12 +234,14 @@ class TestRunAll:
         # plog without its n = p term loses the cancellation a1 - a1^p = 0 mod p
         # in digit 1; the checks that reach pexp through preimage record the
         # domain error instead of raising it
-        shift_sum = series._shift_sum
+        log_terms = series._log_terms
 
-        def dropping(const, w, terms):
-            return shift_sum(const, w, [t for t in terms if t[0] != p])
+        def dropping(ctx, v):
+            return [t for t in log_terms(ctx, v) if t[0] != p]
 
-        monkeypatch.setattr(series, "_shift_sum", dropping)
+        # every plan of the log reads its terms here: plog's and the tables'
+        monkeypatch.setattr(series, "_log_terms", dropping)
+        monkeypatch.setattr(verify, "_log_terms", dropping)
         checks = {c.name: c for c in run_all(Context(p, n), seed=0).checks}
         annulus = checks["annulus_image"]
         assert not annulus.passed
@@ -293,15 +295,7 @@ class TestGoldenReports:
         # captured with one random stream per sampled check and a 2N lift pad,
         # with plog off by pi^(N-1) on every unit whose top digit is 1; seven
         # checks fail
-        real = verify.plog
-
-        def faulty(u):
-            y = real(u)
-            if u.digits[-1] == 1:
-                return y + u.ctx.uniformizer().mul_pi_power(u.ctx.precision - 2)
-            return y
-
-        monkeypatch.setattr(verify, "plog", faulty)
+        inject_log_fault(monkeypatch, golden_fault)
         report = run_all(Context(5, 5), seed=3)
         assert sum(not c.passed for c in report.checks) == 7
         golden = (GOLDEN / "verify_p5_n5_seed3_faulty_plog.json").read_text()
@@ -362,6 +356,43 @@ class TestSharedTables:
         with pytest.raises(CapExceeded) as info:
             check(Context(1048573, 720), cap=1)
         assert info.value.required > 10**18
+
+
+def unit_by_unit_table(ctx, leads):
+    """The log table with one plog per unit, as the tables were built before
+    each valuation's series was scheduled once."""
+    table = {}
+    for a1 in leads:
+        for tail in itertools.product(range(ctx.p), repeat=ctx.precision - 2):
+            u = (1, a1) + tail
+            table.setdefault(plog(PiElement._make(u, ctx)).digits, []).append(u)
+    return table
+
+
+class TestPlannedTables:
+    @pytest.mark.parametrize("p,n", [(3, 6), (3, 8), (5, 6), (7, 5), (11, 4)])
+    def test_tables_match_unit_by_unit_plog(self, p, n):
+        ctx = Context(p, n)
+        tables = verify._Tables(ctx)
+        for planned, leads in ((tables.annulus, range(1, p)), (tables.squares, (0,))):
+            assert list(planned.items()) == list(unit_by_unit_table(ctx, leads).items())
+
+    @pytest.mark.parametrize("p,n", [(3, 6), (3, 8), (5, 6), (7, 5), (11, 4)])
+    def test_square_iso_back_values_are_pexp(self, p, n, monkeypatch):
+        ctx = Context(p, n)
+        backs = []
+        planned = verify._planned
+
+        def recording(x, const, terms_of, plans, ctx):
+            y = planned(x, const, terms_of, plans, ctx)
+            if terms_of is verify._exp_terms:
+                backs.append((x, y))
+            return y
+
+        monkeypatch.setattr(verify, "_planned", recording)
+        assert check_square_iso(ctx).passed
+        assert len(backs) == p ** (n - 2)
+        assert all(y == pexp(PiElement(x, ctx)).digits for x, y in backs)
 
 
 def _pairwise_closure_failures(members, ctx):
