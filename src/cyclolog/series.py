@@ -19,6 +19,7 @@ the Fermat cancellation that puts the image in m^2.
 
 No choice above reads a digit of w: _schedule makes them all once per plan,
 from (terms, p, N) and bounds, and _run carries the plan out for any w.
+_series, the one way in for plog, pexp and verify, plans each v once.
 """
 
 from __future__ import annotations
@@ -234,22 +235,26 @@ def _run(const: int, wd: tuple[int, ...], schedule: tuple, p: int, N: int) -> tu
     return _canonical(raw, p, N)
 
 
-def _shift_sum(const: int, w: PiElement, terms: list[tuple[int, int, int]]) -> PiElement:
-    """const + sum(c * pi^s * w^n for n, s, c in terms), with terms sorted by n
-    and every c >= 0: _run of the terms' _schedule, for one w."""
-    p, N = w.ctx.p, w.ctx.precision
-    return PiElement._make(_run(const, w.digits, _schedule(terms, p, N), p, N), w.ctx)
+def _series(const: int, x: tuple[int, ...], terms_of, ctx: Context, plans: dict) -> tuple[int, ...]:
+    """Canonical digits of const + the series terms_of (_log_terms or _exp_terms)
+    at the digits x: _run of x / pi^v, v the valuation of x, on the plan of v
+    that is scheduled into `plans` on first use.  Plans are keyed by v alone,
+    so one plans dict must serve one terms_of in one ctx."""
+    p, N = ctx.p, ctx.precision
+    v = 0
+    while v < N and not x[v]:
+        v += 1
+    if v not in plans:
+        plans[v] = _schedule(terms_of(ctx, v), p, N)
+    return _run(const, x[v:] + (0,) * v, plans[v], p, N)
 
 
 def plog(u: PiElement) -> PiElement:
     """p-adic logarithm of a principal unit, canonical mod pi^N; digits 0 and 1 are zero."""
     if u.digits[0] != 1:
         raise NotPrincipalUnit(f"digit 0 is {u.digits[0]}, expected 1")
-    ctx = u.ctx
-    x = PiElement._make((0,) + u.digits[1:], ctx)  # u - 1, already canonical
-    v = x.valuation()
-    w = PiElement._make(x.digits[v:] + (0,) * v, ctx)  # x / pi^v, v its valuation
-    return _shift_sum(0, w, _log_terms(ctx, v))
+    # (0,) + digits 1 on is u - 1, already canonical
+    return PiElement._make(_series(0, (0,) + u.digits[1:], _log_terms, u.ctx, {}), u.ctx)
 
 
 def pexp(x: PiElement) -> PrincipalUnit:
@@ -257,8 +262,7 @@ def pexp(x: PiElement) -> PrincipalUnit:
     v = x.valuation()
     if v < 2:
         raise ValuationTooSmall(f"valuation {v} < 2, outside the convergence domain")
-    w = PiElement._make(x.digits[v:] + (0,) * v, x.ctx)  # x / pi^v, v its valuation
-    return PrincipalUnit._make(_shift_sum(1, w, _exp_terms(x.ctx, v)).digits, x.ctx)
+    return PrincipalUnit._make(_series(1, x.digits, _exp_terms, x.ctx, {}), x.ctx)
 
 
 def log_digit_formula(a1: int, a2: int, ctx: Context) -> int:

@@ -3,13 +3,14 @@ with machine-readable reports.
 
 run_all enumerates the annulus units and the units of 1 + m_K^2 once each, on
 first use within the cap, into tables from log digits to unit digits that
-every exhaustive check reads.  A table plans plog's series once per valuation
-and runs the plan on each unit, and square_isomorphism does the same for pexp;
-no plan outlives the call.  An exhaustive check takes the run's tables or,
-called on its own, builds its own, and charges the cap before it touches a
-table.  One prefix test, digits 0 and 1 zero, decides membership in m_K^2,
-and every log passes it before pexp sees it.  Counts are exact and failures
-carry digit-string witnesses.
+every exhaustive check reads.  A table calls series._series, plog's evaluator,
+with one plans dict, so it plans the log series once per valuation;
+square_isomorphism does the same for pexp's series and residue_field for its
+p logs, and no plan outlives the call.  An exhaustive check takes the run's
+tables or, called on its own, builds its own, and charges the cap before it
+touches a table.  One prefix test, digits 0 and 1 zero, decides membership
+in m_K^2, and every log passes it before pexp sees it.  Counts are exact and
+failures carry digit-string witnesses.
 
 run_all adds seeded property suites for the series and preimage modules.  Each
 sampled check is a stream of (ok, witnesses) trials counted by one tally,
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, CyclologError
 from .ring import Context, PiElement, format_digits
-from .series import _exp_terms, _log_terms, _run, _schedule, log_digit_formula, pexp, plog
+from .series import _exp_terms, _log_terms, _series, log_digit_formula, pexp, plog
 from .preimage import digit2_for_branch, preimage_all, qr_pair_enumeration, roots_of_unity
 
 DEFAULT_CAP = 10_000_000
@@ -74,16 +75,6 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _planned(x: tuple[int, ...], const: int, terms_of, plans: dict, ctx: Context) -> tuple:
-    """Digits of plog(1 + x) for (0, _log_terms), or of pexp(x) for (1, _exp_terms),
-    at the digits x; each valuation of x is scheduled once, into plans."""
-    N = ctx.precision
-    v = next((i for i, d in enumerate(x) if d), N)
-    if v not in plans:
-        plans[v] = _schedule(terms_of(ctx, v), ctx.p, N)
-    return _run(const, x[v:] + (0,) * v, plans[v], ctx.p, N)
-
-
 def _log_table(ctx: Context, leads) -> _LogTable:
     """{plog digits: [unit digits]} over the units 1 + a1*pi + ... with a1 in
     `leads`, in enumeration order, which is increasing digit order."""
@@ -91,7 +82,7 @@ def _log_table(ctx: Context, leads) -> _LogTable:
     plans = {}
     for a1 in leads:
         for tail in itertools.product(range(ctx.p), repeat=ctx.precision - 2):
-            lg = _planned((0, a1) + tail, 0, _log_terms, plans, ctx)
+            lg = _series(0, (0, a1) + tail, _log_terms, ctx, plans)
             table.setdefault(lg, []).append((1, a1) + tail)
     return table
 
@@ -181,7 +172,7 @@ def check_square_iso(
         if lg[0] or lg[1]:
             outside += units
             continue
-        back = _planned(lg, 1, _exp_terms, plans, ctx)
+        back = _series(1, lg, _exp_terms, ctx, plans)
         unrecovered += (u for u in units if u != back)
     passed = not outside and not unrecovered and len(images) == total
     counts = {
@@ -226,7 +217,8 @@ def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
     _require(p, cap)
     units = [PiElement._make((1, a1) + (0,) * (ctx.precision - 2), ctx) for a1 in range(p)]
     m_mod = {(u - 1).digits[:2] for u in units}
-    m2_mod = {plog(u).digits[:2] for u in units}
+    plans = {}
+    m2_mod = {_series(0, (0,) + u.digits[1:], _log_terms, ctx, plans)[:2] for u in units}
     cosets = len(m_mod) // len(m2_mod)
     passed = cosets == p and m2_mod == {(0, 0)}
     counts = {"m_mod_pi2": len(m_mod), "m2_mod_pi2": len(m2_mod), "cosets": cosets}

@@ -1,6 +1,6 @@
 """A fault in verify's logs, injected where verify takes them: at verify.plog,
-which the sampled checks call, and at the exhaustive tables' per-unit
-evaluation, verify._planned."""
+which the sampled checks call, and at verify._series, which the exhaustive
+checks call with the log series for each unit they enumerate."""
 
 from __future__ import annotations
 
@@ -11,20 +11,20 @@ from cyclolog import verify
 def inject_log_fault(monkeypatch, fault) -> None:
     """Add fault(digits, ctx), an element or None, to the log of the unit with
     those digits.  fault reads digits 1 on, which u and u - 1 share: the
-    tables evaluate the log at the digits of u - 1."""
-    real_plog, real_planned = verify.plog, verify._planned
+    exhaustive checks evaluate the log at the digits of u - 1."""
+    real_plog, real_series = verify.plog, verify._series
 
     def plog(u):
         y, error = real_plog(u), fault(u.digits, u.ctx)
         return y if error is None else y + error
 
-    def planned(x, const, terms_of, plans, ctx):
-        y = real_planned(x, const, terms_of, plans, ctx)
+    def series(const, x, terms_of, ctx, plans):
+        y = real_series(const, x, terms_of, ctx, plans)
         error = fault(x, ctx) if terms_of is verify._log_terms else None
         return y if error is None else (PiElement(y, ctx) + error).digits
 
     monkeypatch.setattr(verify, "plog", plog)
-    monkeypatch.setattr(verify, "_planned", planned)
+    monkeypatch.setattr(verify, "_series", series)
 
 
 def golden_fault(digits, ctx):

@@ -4,9 +4,10 @@ naive_plog sums the series directly with the core carry arithmetic at an
 enlarged precision, using none of the budget machinery from the package.
 poly_log_digits is a second, fully separate path: exact Fraction polynomials
 in the uniformizer, with digits peeled off via 1/pi = -pi^(p-2)/p.
-term_by_term_sum is a drop-in for series._shift_sum that adds each term as a
-canonical ring element, so it checks the single carry pass where the Fraction
-oracle is too slow.
+term_by_term_sum adds each term of a series as a canonical ring element, so
+it checks the single carry pass where the Fraction oracle is too slow;
+term_by_term_series is the drop-in for series._series built on it, with no
+plan.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ def term_by_term_sum(const: int, w: PiElement, terms) -> PiElement:
             done = n
         acc = acc + (power * c).mul_pi_power(s)
     return acc
+
+
+def term_by_term_series(const: int, x, terms_of, ctx: Context, plans) -> tuple[int, ...]:
+    """Digits of const + the series terms_of at x, summed by term_by_term_sum
+    at x / pi^v for v the valuation of x; plans is taken and left unread."""
+    element = PiElement(x, ctx)
+    v = element.valuation()
+    return term_by_term_sum(const, element.div_pi_power(v), terms_of(ctx, v)).digits
 
 
 def _reduce_pow(i: int, p: int) -> tuple[Fraction, int]:

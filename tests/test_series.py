@@ -19,7 +19,7 @@ from cyclolog import series
 from cyclolog.series import _exp_terms, _inverse_modulus, _log_terms, _run, _schedule
 
 from oracle_charp import charp_exp_digits, charp_log_digits
-from oracle_series import naive_plog, poly_log_digits, term_by_term_sum
+from oracle_series import naive_plog, poly_log_digits, term_by_term_series, term_by_term_sum
 
 
 def random_principal_unit(rng, ctx, annulus=False):
@@ -238,7 +238,7 @@ class TestSingleCarryPass:
             head = (0,) * v
             cases.append((PiElement((1,) + head[1:] + w, ctx), PiElement(head + w, ctx)))
         got = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
-        monkeypatch.setattr(series, "_shift_sum", term_by_term_sum)
+        monkeypatch.setattr(series, "_series", term_by_term_series)
         want = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
         assert got == want
 
@@ -261,18 +261,22 @@ class TestShortcutsMatchTermByTermSum:
         rng = random.Random(101)
         cases = [units_of_valuation(rng, ctx, v) for v in (1, 1, 2, 3, 3, n - 1)]
         frobenius, lone = [], []
-        shift_sum = series._shift_sum
+        real_series = series._series
 
-        def recording(const, w, terms):
-            frobenius.extend(n - s < p and m % p == 0 for m, s, _ in terms)
-            lone.append(len(terms) == 1 and terms[0][0] == 1)
-            return shift_sum(const, w, terms)
+        def recording(const, x, terms_of, ctx, plans):
+            def planned(ctx, v):
+                terms = terms_of(ctx, v)
+                frobenius.extend(n - s < p and m % p == 0 for m, s, _ in terms)
+                lone.append(len(terms) == 1 and terms[0][0] == 1)
+                return terms
 
-        monkeypatch.setattr(series, "_shift_sum", recording)
+            return real_series(const, x, planned, ctx, plans)
+
+        monkeypatch.setattr(series, "_series", recording)
         got = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
         assert any(frobenius)
         assert any(lone)
-        monkeypatch.setattr(series, "_shift_sum", term_by_term_sum)
+        monkeypatch.setattr(series, "_series", term_by_term_series)
         want = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
         assert got == want
 
@@ -373,7 +377,7 @@ class TestCarryRule:
         carry = count_calls(monkeypatch, "_carry")
         got = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
         assert carry
-        monkeypatch.setattr(series, "_shift_sum", term_by_term_sum)
+        monkeypatch.setattr(series, "_series", term_by_term_series)
         want = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
         assert got == want
 
@@ -381,11 +385,12 @@ class TestCarryRule:
         # at (3,256) c < 3**128, so most terms cannot join the packed sum
         p, n = 3, 256
         u, _ = units_of_valuation(random.Random(29), Context(p, n), 1)
-        sums = count_calls(monkeypatch, "_shift_sum")
+        sums = count_calls(monkeypatch, "_series")
         got = plog(u)
-        (_, _, terms), = sums
+        (_, x, terms_of, ctx, _), = sums
+        terms = terms_of(ctx, PiElement(x, ctx).valuation())
         assert any(c * (p - 1) >= 1 << 64 for m, _, c in terms if m > 1)
-        monkeypatch.setattr(series, "_shift_sum", term_by_term_sum)
+        monkeypatch.setattr(series, "_series", term_by_term_series)
         assert got == plog(u)
 
     @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
@@ -432,12 +437,15 @@ class TestCharacteristicPOracle:
     def test_kills_a_plog_without_the_p_th_term(self, p, n, monkeypatch):
         u, _ = units_of_valuation(random.Random(71), Context(p, n), 1)
         assert plog(u).digits == charp_log_digits(u.digits, p)
-        shift_sum = series._shift_sum
+        real_series = series._series
 
-        def dropping(const, w, terms):
-            return shift_sum(const, w, [t for t in terms if t[0] != p])
+        def dropping(const, x, terms_of, ctx, plans):
+            def planned(ctx, v):
+                return [t for t in terms_of(ctx, v) if t[0] != p]
 
-        monkeypatch.setattr(series, "_shift_sum", dropping)
+            return real_series(const, x, planned, ctx, plans)
+
+        monkeypatch.setattr(series, "_series", dropping)
         assert plog(u).digits != charp_log_digits(u.digits, p)
 
 

@@ -22,6 +22,7 @@ from cyclolog import cli, series, verify
 from cyclolog.verify import _image_mismatch
 
 from faults import golden_fault, inject_log_fault
+from oracle_series import term_by_term_series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -106,7 +107,7 @@ class TestResidueField:
 
     def test_counts_the_systems_log_classes(self, monkeypatch):
         ctx = Context(5, 4)
-        monkeypatch.setattr(verify, "plog", lambda u: u.ctx.uniformizer())
+        inject_log_fault(monkeypatch, lambda digits, ctx: ctx.uniformizer())
         result = check_residue_field(ctx)
         assert not result.passed
         assert result.witnesses == ["0,1"]
@@ -360,7 +361,8 @@ class TestSharedTables:
 
 def unit_by_unit_table(ctx, leads):
     """The log table with one plog per unit, as the tables were built before
-    each valuation's series was scheduled once."""
+    each valuation's series was scheduled once.  plog runs the kernel the
+    tables run, so callers patch term_by_term_series in as series._series."""
     table = {}
     for a1 in leads:
         for tail in itertools.product(range(ctx.p), repeat=ctx.precision - 2):
@@ -369,30 +371,51 @@ def unit_by_unit_table(ctx, leads):
     return table
 
 
+PLANNED_ROWS = [(3, 6), (3, 8), (3, 9), (5, 6), (7, 5), (11, 4), (13, 5)]
+
+
+def recording_series(monkeypatch, terms_of):
+    """The (x, digits) of every verify._series call with terms_of, in order."""
+    calls = []
+    real = verify._series
+
+    def recording(const, x, terms, ctx, plans):
+        y = real(const, x, terms, ctx, plans)
+        if terms is terms_of:
+            calls.append((x, y))
+        return y
+
+    monkeypatch.setattr(verify, "_series", recording)
+    return calls
+
+
 class TestPlannedTables:
-    @pytest.mark.parametrize("p,n", [(3, 6), (3, 8), (5, 6), (7, 5), (11, 4)])
-    def test_tables_match_unit_by_unit_plog(self, p, n):
+    # the reference sums each unit's series term by term in the ring
+    @pytest.mark.parametrize("p,n", PLANNED_ROWS)
+    def test_tables_match_unit_by_unit_plog(self, p, n, monkeypatch):
         ctx = Context(p, n)
         tables = verify._Tables(ctx)
+        monkeypatch.setattr(series, "_series", term_by_term_series)
         for planned, leads in ((tables.annulus, range(1, p)), (tables.squares, (0,))):
             assert list(planned.items()) == list(unit_by_unit_table(ctx, leads).items())
 
-    @pytest.mark.parametrize("p,n", [(3, 6), (3, 8), (5, 6), (7, 5), (11, 4)])
+    @pytest.mark.parametrize("p,n", PLANNED_ROWS)
     def test_square_iso_back_values_are_pexp(self, p, n, monkeypatch):
         ctx = Context(p, n)
-        backs = []
-        planned = verify._planned
-
-        def recording(x, const, terms_of, plans, ctx):
-            y = planned(x, const, terms_of, plans, ctx)
-            if terms_of is verify._exp_terms:
-                backs.append((x, y))
-            return y
-
-        monkeypatch.setattr(verify, "_planned", recording)
+        backs = recording_series(monkeypatch, verify._exp_terms)
         assert check_square_iso(ctx).passed
         assert len(backs) == p ** (n - 2)
+        monkeypatch.setattr(series, "_series", term_by_term_series)
         assert all(y == pexp(PiElement(x, ctx)).digits for x, y in backs)
+
+    @pytest.mark.parametrize("p", [101, 1009])
+    def test_residue_field_log_classes_are_plog(self, p, monkeypatch):
+        ctx = Context(p, 4)
+        logs = recording_series(monkeypatch, verify._log_terms)
+        assert check_residue_field(ctx).passed
+        assert [x for x, _ in logs] == [(0, a1, 0, 0) for a1 in range(p)]
+        monkeypatch.setattr(series, "_series", term_by_term_series)
+        assert all(y == plog(PiElement((1,) + x[1:], ctx)).digits for x, y in logs)
 
 
 def _pairwise_closure_failures(members, ctx):
