@@ -1,6 +1,7 @@
 """A fault in verify's logs, injected where verify takes them: at verify.plog,
-which the sampled checks call, and at verify._series, which the exhaustive
-checks call with the log series for each unit they enumerate."""
+which the sampled checks call, at verify._split_series, which the exhaustive
+tables call once for each unit they enumerate, and at verify._series, which
+check_residue_field calls for each of its p logs."""
 
 from __future__ import annotations
 
@@ -11,8 +12,18 @@ from cyclolog import verify
 def inject_log_fault(monkeypatch, fault) -> None:
     """Add fault(digits, ctx), an element or None, to the log of the unit with
     those digits.  fault reads digits 1 on, which u and u - 1 share: the
-    exhaustive checks evaluate the log at the digits of u - 1."""
-    real_plog, real_series = verify.plog, verify._series
+    exhaustive checks evaluate the log at the digits of u - 1.
+
+    _split_series runs _series at each head it meets, and those runs are no
+    unit's evaluation: _series adds the fault only outside _split_series, so
+    every table unit gets its fault once, from _split_series, zero tail or
+    not."""
+    real_plog, real_series, real_split = verify.plog, verify._series, verify._split_series
+    splitting = []
+
+    def faulty(y, x, terms_of, ctx):
+        error = fault(x, ctx) if terms_of is verify._log_terms else None
+        return y if error is None else (PiElement(y, ctx) + error).digits
 
     def plog(u):
         y, error = real_plog(u), fault(u.digits, u.ctx)
@@ -20,11 +31,19 @@ def inject_log_fault(monkeypatch, fault) -> None:
 
     def series(const, x, terms_of, ctx, plans):
         y = real_series(const, x, terms_of, ctx, plans)
-        error = fault(x, ctx) if terms_of is verify._log_terms else None
-        return y if error is None else (PiElement(y, ctx) + error).digits
+        return y if splitting else faulty(y, x, terms_of, ctx)
+
+    def split_series(const, x, terms_of, ctx, runs):
+        splitting.append(x)
+        try:
+            y = real_split(const, x, terms_of, ctx, runs)
+        finally:
+            splitting.pop()
+        return faulty(y, x, terms_of, ctx)
 
     monkeypatch.setattr(verify, "plog", plog)
     monkeypatch.setattr(verify, "_series", series)
+    monkeypatch.setattr(verify, "_split_series", split_series)
 
 
 def golden_fault(digits, ctx):

@@ -371,22 +371,60 @@ def unit_by_unit_table(ctx, leads):
     return table
 
 
-PLANNED_ROWS = [(3, 6), (3, 8), (3, 9), (5, 6), (7, 5), (11, 4), (13, 5)]
+PLANNED_ROWS = [(3, 6), (3, 8), (3, 9), (3, 10), (5, 6), (5, 7), (7, 5), (11, 4), (13, 5)]
 
 
-def recording_series(monkeypatch, terms_of):
-    """The (x, digits) of every verify._series call with terms_of, in order."""
+def recording(monkeypatch, name, terms_of):
+    """The (x, digits) of every call of verify.<name>, _series or
+    _split_series, with terms_of, in order."""
     calls = []
-    real = verify._series
+    real = getattr(verify, name)
 
-    def recording(const, x, terms, ctx, plans):
+    def record(const, x, terms, ctx, plans):
         y = real(const, x, terms, ctx, plans)
         if terms is terms_of:
             calls.append((x, y))
         return y
 
-    monkeypatch.setattr(verify, "_series", recording)
+    monkeypatch.setattr(verify, name, record)
     return calls
+
+
+def oracle_log(u):
+    return PiElement(term_by_term_series(0, (0,) + u.digits[1:], series._log_terms, u.ctx, {}), u.ctx)
+
+
+def oracle_exp(y):
+    return PiElement(term_by_term_series(1, y.digits, series._exp_terms, y.ctx, {}), y.ctx)
+
+
+class TestAffineTail:
+    # the identities the split tables rest on: for v(t) >= h = ceil(N/2),
+    # log(u + t) = log u + t/u and exp(y + t) = exp(y)*(1 + t) mod pi^N
+    ROWS = [(3, 4), (7, 4), (3, 7), (5, 7), (3, 8), (7, 6), (3, 10)]
+
+    @pytest.mark.parametrize("p,n", ROWS)
+    def test_log_and_exp_are_affine_past_half_the_precision(self, p, n):
+        ctx, rng = Context(p, n), random.Random(f"{p}:{n}")
+        h = (n + 1) // 2
+        for _ in range(30):
+            u = verify._random_element(rng, ctx, (1,))
+            y = verify._random_element(rng, ctx, (0, 0))
+            t = verify._random_element(rng, ctx, (0,) * h)
+            assert oracle_log(u + t) == oracle_log(u) + t * u.invert_unit()
+            assert oracle_exp(y + t) == oracle_exp(y) * (1 + t)
+
+    @pytest.mark.parametrize("p,n", ROWS)
+    def test_one_digit_lower_the_log_is_not_affine(self, p, n):
+        # so a split one digit below ceil(N/2) would change the tables
+        ctx, rng = Context(p, n), random.Random(f"{p}:{n}")
+        h = (n + 1) // 2
+        broken = 0
+        for _ in range(30):
+            u = verify._random_element(rng, ctx, (1,))
+            t = verify._random_element(rng, ctx, (0,) * (h - 1) + (1 + rng.randrange(p - 1),))
+            broken += oracle_log(u + t) != oracle_log(u) + t * u.invert_unit()
+        assert broken
 
 
 class TestPlannedTables:
@@ -402,16 +440,40 @@ class TestPlannedTables:
     @pytest.mark.parametrize("p,n", PLANNED_ROWS)
     def test_square_iso_back_values_are_pexp(self, p, n, monkeypatch):
         ctx = Context(p, n)
-        backs = recording_series(monkeypatch, verify._exp_terms)
+        backs = recording(monkeypatch, "_split_series", verify._exp_terms)
         assert check_square_iso(ctx).passed
         assert len(backs) == p ** (n - 2)
+        assert sorted(x for x, _ in backs) == sorted(_m_squared(ctx))
         monkeypatch.setattr(series, "_series", term_by_term_series)
         assert all(y == pexp(PiElement(x, ctx)).digits for x, y in backs)
+
+    @pytest.mark.parametrize("p,n", [(3, 6), (5, 5), (3, 9)])
+    def test_each_unit_gets_its_fault_once(self, p, n, monkeypatch):
+        # a head's run is no unit's log: a fault on the units whose tail is
+        # zero, which _split_series reads off their head's run, moves those
+        # units' logs and no other
+        ctx, h = Context(p, n), (n + 1) // 2
+        real = verify._Tables(ctx)
+        real.annulus, real.squares
+        seen = []
+
+        def on_zero_tails(digits, ctx):
+            seen.append((1,) + digits[1:])
+            return None if any(digits[h:]) else ctx.uniformizer().mul_pi_power(n - 2)
+
+        inject_log_fault(monkeypatch, on_zero_tails)
+        faulted = verify._Tables(ctx)
+        for table in ("annulus", "squares"):
+            log_of = {u: lg for lg, units in getattr(real, table).items() for u in units}
+            moved = {u for lg, units in getattr(faulted, table).items() for u in units if lg != log_of[u]}
+            assert moved == {u for u in log_of if not any(u[h:])}
+        units = [(1,) + rest for rest in itertools.product(range(p), repeat=n - 1)]
+        assert sorted(seen) == units
 
     @pytest.mark.parametrize("p", [101, 1009])
     def test_residue_field_log_classes_are_plog(self, p, monkeypatch):
         ctx = Context(p, 4)
-        logs = recording_series(monkeypatch, verify._log_terms)
+        logs = recording(monkeypatch, "_series", verify._log_terms)
         assert check_residue_field(ctx).passed
         assert [x for x, _ in logs] == [(0, a1, 0, 0) for a1 in range(p)]
         monkeypatch.setattr(series, "_series", term_by_term_series)
