@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 import struct
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ContextMismatch,
@@ -60,6 +60,9 @@ class Context:
 
     p: int
     precision: int
+    # series._series's plans, keyed by (terms_of, v): pure functions of
+    # (series, p, precision, v), so outside equality, hash and repr
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p", operator.index(self.p))  # frozen: store plain ints

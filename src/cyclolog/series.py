@@ -19,7 +19,8 @@ the Fermat cancellation that puts the image in m^2.
 
 No choice above reads a digit of w: _schedule makes them all once per plan,
 from (terms, p, N) and bounds, and _run carries the plan out for any w.
-_series, the one way in for plog, pexp and verify, plans each v once.
+_series, the one way in for plog, pexp and verify, plans each series once
+per valuation and Context, and keeps the plan on the Context.
 """
 
 from __future__ import annotations
@@ -235,18 +236,19 @@ def _run(const: int, wd: tuple[int, ...], schedule: tuple, p: int, N: int) -> tu
     return _canonical(raw, p, N)
 
 
-def _series(const: int, x: tuple[int, ...], terms_of, ctx: Context, plans: dict) -> tuple[int, ...]:
+def _series(const: int, x: tuple[int, ...], terms_of, ctx: Context) -> tuple[int, ...]:
     """Canonical digits of const + the series terms_of (_log_terms or _exp_terms)
-    at the digits x: _run of x / pi^v, v the valuation of x, on the plan of v
-    that is scheduled into `plans` on first use.  Plans are keyed by v alone,
-    so one plans dict must serve one terms_of in one ctx."""
+    at the digits x: _run of x / pi^v, v the valuation of x, on the plan of
+    (terms_of, v) that is scheduled into ctx._plans on first use.  So ctx plans
+    each series once per valuation: at most 2N - 1 plans, as v runs over
+    1..N for the log and 2..N for exp (v = N at x = 0)."""
     p, N = ctx.p, ctx.precision
     v = 0
     while v < N and not x[v]:
         v += 1
-    if v not in plans:
-        plans[v] = _schedule(terms_of(ctx, v), p, N)
-    return _run(const, x[v:] + (0,) * v, plans[v], p, N)
+    if (terms_of, v) not in ctx._plans:
+        ctx._plans[terms_of, v] = _schedule(terms_of(ctx, v), p, N)
+    return _run(const, x[v:] + (0,) * v, ctx._plans[terms_of, v], p, N)
 
 
 def plog(u: PiElement) -> PiElement:
@@ -254,7 +256,7 @@ def plog(u: PiElement) -> PiElement:
     if u.digits[0] != 1:
         raise NotPrincipalUnit(f"digit 0 is {u.digits[0]}, expected 1")
     # (0,) + digits 1 on is u - 1, already canonical
-    return PiElement._make(_series(0, (0,) + u.digits[1:], _log_terms, u.ctx, {}), u.ctx)
+    return PiElement._make(_series(0, (0,) + u.digits[1:], _log_terms, u.ctx), u.ctx)
 
 
 def pexp(x: PiElement) -> PrincipalUnit:
@@ -262,7 +264,7 @@ def pexp(x: PiElement) -> PrincipalUnit:
     v = x.valuation()
     if v < 2:
         raise ValuationTooSmall(f"valuation {v} < 2, outside the convergence domain")
-    return PrincipalUnit._make(_series(1, x.digits, _exp_terms, x.ctx, {}), x.ctx)
+    return PrincipalUnit._make(_series(1, x.digits, _exp_terms, x.ctx), x.ctx)
 
 
 def log_digit_formula(a1: int, a2: int, ctx: Context) -> int:

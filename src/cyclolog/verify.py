@@ -8,14 +8,16 @@ only at the heads, the digits below h = ceil(N/2): past h the series is
 affine, so _split_series gives each unit's log as its head's plus one packed
 sum of its tail digits.  square_isomorphism inverts its images the same way
 with pexp's series, and residue_field runs series._series on each of its p
-units; no plan or head run outlives the call.  So the exhaustive checks rest
-on the affine identity: a kernel fault that shows only where an input has
-nonzero digits at or past h never reaches a table, and the sampled checks,
-which run plog and pexp on whole random elements, are what see it.  An
-exhaustive check takes the run's tables or, called on its own, builds its
-own, and charges the cap before it touches a table.  One prefix test, digits
-0 and 1 zero, decides membership in m_K^2, and every log passes it before
-pexp sees it.  Counts are exact and failures carry digit-string witnesses.
+units.  The series' plans live on the Context, so a Context used again plans
+nothing again; no head run outlives the table or check that made it.  So the
+exhaustive checks rest on the affine identity: a kernel fault that shows only
+where an input has nonzero digits at or past h never reaches a table, and the
+sampled checks, which run plog and pexp on whole random elements, are what
+see it.  An exhaustive check takes the run's tables or, called on its own,
+builds its own, and charges the cap before it touches a table.  One prefix
+test, digits 0 and 1 zero, decides membership in m_K^2, and every log passes
+it before pexp sees it.  Counts are exact and failures carry digit-string
+witnesses.
 
 run_all adds seeded property suites for the series and preimage modules.  Each
 sampled check is a stream of (ok, witnesses) trials counted by one tally,
@@ -94,17 +96,17 @@ def _split_series(
     f' is (1 + x0)^-1 for the log and exp(x0) for exp,
     f(x) = f(x0) + sum(x[h+j] * pi^j * d), and pi^j * d is d moved up j
     digits.  f(x0) and the N - h vectors pi^j * d stay packed in `runs`, keyed
-    by the head, next to the kernel's plans, keyed by valuation, so one runs
-    dict serves one (const, terms_of) in one ctx.  A limb of the packed sum is
-    at most (p-1) * (1 + (N-h)*(p-1)) < 2**64, as p <= 2**20 and N <= 2**24.
+    by the head alone, so one runs dict serves one (const, terms_of) in one
+    ctx; the plans behind the two runs stay on ctx.  A limb of the packed sum
+    is at most (p-1) * (1 + (N-h)*(p-1)) < 2**64, as p <= 2**20 and N <= 2**24.
     """
     p, N = ctx.p, ctx.precision
     h = (N + 1) // 2
     head = x[:h]
     run = runs.get(head)
     if run is None:
-        y0 = _series(const, head + (0,) * (N - h), terms_of, ctx, runs)
-        y1 = _series(const, head + (1,) + (0,) * (N - h - 1), terms_of, ctx, runs)
+        y0 = _series(const, head + (0,) * (N - h), terms_of, ctx)
+        y1 = _series(const, head + (1,) + (0,) * (N - h - 1), terms_of, ctx)
         d = _canonical([b - a for a, b in zip(y0, y1)], p, N)
         run = runs[head] = (_pack(y0, N), [_pack((0,) * j + d, N) for j in range(N - h)])
     base, steps = run
@@ -256,8 +258,7 @@ def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
     _require(p, cap)
     units = [PiElement._make((1, a1) + (0,) * (ctx.precision - 2), ctx) for a1 in range(p)]
     m_mod = {(u - 1).digits[:2] for u in units}
-    plans = {}
-    m2_mod = {_series(0, (0,) + u.digits[1:], _log_terms, ctx, plans)[:2] for u in units}
+    m2_mod = {_series(0, (0,) + u.digits[1:], _log_terms, ctx)[:2] for u in units}
     cosets = len(m_mod) // len(m2_mod)
     passed = cosets == p and m2_mod == {(0, 0)}
     counts = {"m_mod_pi2": len(m_mod), "m2_mod_pi2": len(m2_mod), "cosets": cosets}

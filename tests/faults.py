@@ -29,8 +29,8 @@ def inject_log_fault(monkeypatch, fault) -> None:
         y, error = real_plog(u), fault(u.digits, u.ctx)
         return y if error is None else y + error
 
-    def series(const, x, terms_of, ctx, plans):
-        y = real_series(const, x, terms_of, ctx, plans)
+    def series(const, x, terms_of, ctx):
+        y = real_series(const, x, terms_of, ctx)
         return y if splitting else faulty(y, x, terms_of, ctx)
 
     def split_series(const, x, terms_of, ctx, runs):

@@ -58,9 +58,9 @@ def term_by_term_sum(const: int, w: PiElement, terms) -> PiElement:
     return acc
 
 
-def term_by_term_series(const: int, x, terms_of, ctx: Context, plans) -> tuple[int, ...]:
+def term_by_term_series(const: int, x, terms_of, ctx: Context) -> tuple[int, ...]:
     """Digits of const + the series terms_of at x, summed by term_by_term_sum
-    at x / pi^v for v the valuation of x; plans is taken and left unread."""
+    at x / pi^v for v the valuation of x; it neither reads nor fills ctx's plans."""
     element = PiElement(x, ctx)
     v = element.valuation()
     return term_by_term_sum(const, element.div_pi_power(v), terms_of(ctx, v)).digits

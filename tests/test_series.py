@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +11,10 @@ from cyclolog import (
     SeriesBudget,
     ValuationTooSmall,
     fermat_digit_check,
+    format_digits,
     log_digit_formula,
     normalize,
+    parse_digits,
     pexp,
     plog,
     preimage,
@@ -263,14 +267,14 @@ class TestShortcutsMatchTermByTermSum:
         frobenius, lone = [], []
         real_series = series._series
 
-        def recording(const, x, terms_of, ctx, plans):
+        def recording(const, x, terms_of, ctx):
             def planned(ctx, v):
                 terms = terms_of(ctx, v)
                 frobenius.extend(n - s < p and m % p == 0 for m, s, _ in terms)
                 lone.append(len(terms) == 1 and terms[0][0] == 1)
                 return terms
 
-            return real_series(const, x, planned, ctx, plans)
+            return real_series(const, x, planned, ctx)
 
         monkeypatch.setattr(series, "_series", recording)
         got = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
@@ -387,7 +391,7 @@ class TestCarryRule:
         u, _ = units_of_valuation(random.Random(29), Context(p, n), 1)
         sums = count_calls(monkeypatch, "_series")
         got = plog(u)
-        (_, x, terms_of, ctx, _), = sums
+        (_, x, terms_of, ctx), = sums
         terms = terms_of(ctx, PiElement(x, ctx).valuation())
         assert any(c * (p - 1) >= 1 << 64 for m, _, c in terms if m > 1)
         monkeypatch.setattr(series, "_series", term_by_term_series)
@@ -439,14 +443,91 @@ class TestCharacteristicPOracle:
         assert plog(u).digits == charp_log_digits(u.digits, p)
         real_series = series._series
 
-        def dropping(const, x, terms_of, ctx, plans):
+        def dropping(const, x, terms_of, ctx):
             def planned(ctx, v):
                 return [t for t in terms_of(ctx, v) if t[0] != p]
 
-            return real_series(const, x, planned, ctx, plans)
+            return real_series(const, x, planned, ctx)
 
         monkeypatch.setattr(series, "_series", dropping)
         assert plog(u).digits != charp_log_digits(u.digits, p)
+
+
+class TestPlansPerContext:
+    # a plan is a pure function of (series, p, N, v), so it lives on the
+    # Context: planned once per (series, v) there, and never seen by ==, hash
+    # or repr
+    ROWS = [(3, 8), (5, 6), (7, 5)]
+
+    @pytest.mark.parametrize("p,n", ROWS)
+    def test_one_plan_per_series_and_valuation(self, p, n, monkeypatch):
+        ctx = Context(p, n)
+        rng = random.Random(83)
+        units = [units_of_valuation(rng, ctx, 1)[0] for _ in range(5)]
+        targets = [units_of_valuation(rng, ctx, 2)[1] for _ in range(5)]
+        plans = count_calls(monkeypatch, "_schedule")
+        got = [[plog(u) for u in units] + [pexp(x) for x in targets] for _ in range(3)]
+        assert len(plans) == 2
+        assert set(ctx._plans) == {(_log_terms, 1), (_exp_terms, 2)}
+        assert got[0] == got[1] == got[2]
+        other = Context(p, n)
+        fresh = [plog(PiElement(u.digits, other)) for u in units]
+        fresh += [pexp(PiElement(x.digits, other)) for x in targets]
+        assert [y.digits for y in got[0]] == [y.digits for y in fresh]
+
+    def test_an_equal_context_plans_again(self, monkeypatch):
+        warm, fresh = Context(5, 6), Context(5, 6)
+        u, _ = units_of_valuation(random.Random(89), warm, 1)
+        plog(u)
+        plans = count_calls(monkeypatch, "_schedule")
+        assert plog(u) == plog(u)
+        assert not plans
+        assert plog(PiElement(u.digits, fresh)).digits == plog(u).digits
+        assert len(plans) == 1
+        assert fresh._plans.keys() == warm._plans.keys() and fresh._plans is not warm._plans
+
+    def test_equality_hash_and_repr_ignore_the_plans(self):
+        warm = Context(5, 6)
+        u, x = units_of_valuation(random.Random(97), warm, 2)
+        plog(u), pexp(x)
+        fresh = Context(5, 6)
+        assert warm._plans and not fresh._plans
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh) == "Context(p=5, precision=6)"
+        assert warm != Context(5, 7) and warm != Context(7, 6)
+
+    def test_context_stays_frozen(self):
+        ctx = Context(5, 6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.p = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx._plans = {}
+
+    @pytest.mark.parametrize("p,n", ROWS)
+    def test_plan_key_holds_the_series(self, p, n, monkeypatch):
+        # a key of v alone would run the warm plan of the real terms
+        u, _ = units_of_valuation(random.Random(101), Context(p, n), 1)
+        want = plog(u)
+        log_terms = series._log_terms
+
+        def dropping(ctx, v):
+            return [t for t in log_terms(ctx, v) if t[0] != p]
+
+        monkeypatch.setattr(series, "_log_terms", dropping)
+        assert plog(u) != want
+        monkeypatch.undo()
+        assert plog(u) == want
+
+    @pytest.mark.parametrize(
+        "command,name,p,n", [(plog, "log_p3_n256", 3, 256), (pexp, "exp_p7_n256", 7, 256)]
+    )
+    def test_long_series_golden_twice_on_one_context(self, command, name, p, n):
+        golden = Path(__file__).parent / "golden"
+        x = parse_digits((golden / f"{name}.in").read_text(), Context(p, n))
+        want = (golden / f"{name}.txt").read_text()
+        for _ in range(2):
+            y = command(x)
+            assert f"{format_digits(y)}\n= {y.expansion()}\n" == want
 
 
 class TestCarryFreeUnitMinusOne:

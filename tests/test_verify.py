@@ -16,6 +16,7 @@ from cyclolog import (
     check_square_iso,
     pexp,
     plog,
+    preimage_all,
     run_all,
 )
 from cyclolog import cli, series, verify
@@ -359,6 +360,52 @@ class TestSharedTables:
         assert info.value.required > 10**18
 
 
+class TestWarmContext:
+    # the series' plans stay on the Context between calls; a warm Context
+    # must give the bytes a fresh one gives
+    ROWS = [(3, 8), (5, 6), (7, 5)]
+    SEEDS = [0, 7, 123]
+
+    @staticmethod
+    def warm_up(ctx, rng):
+        """plog, pexp and preimage_all at every valuation the series take."""
+        for v in range(1, ctx.precision):
+            y = verify._random_element(rng, ctx, (0,) * v + (rng.randrange(1, ctx.p),))
+            plog(PiElement((1,) + y.digits[1:], ctx))
+            if v >= 2:
+                pexp(y)
+                preimage_all(y)
+        plog(ctx.one()), pexp(ctx.zero())
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("p,n", ROWS)
+    def test_warm_context_gives_the_fresh_report(self, p, n, seed):
+        warm = Context(p, n)
+        for other in self.SEEDS:
+            if other != seed:
+                run_all(warm, seed=other)
+        self.warm_up(warm, random.Random(seed))
+        assert run_all(warm, seed=seed).to_json() == run_all(Context(p, n), seed=seed).to_json()
+
+    @pytest.mark.parametrize("p,n", ROWS)
+    def test_a_warm_run_plans_only_for_new_contexts(self, p, n, monkeypatch):
+        # 2N - 1 plans: v = 1..N for the log, 2..N for exp; after them a run
+        # plans only for lift_independence's Context(p, 2N)
+        ctx = Context(p, n)
+        self.warm_up(ctx, random.Random(0))
+        assert len(ctx._plans) == 2 * n - 1
+        precisions = []
+        schedule = series._schedule
+
+        def counting(terms, prime, precision):
+            precisions.append(precision)
+            return schedule(terms, prime, precision)
+
+        monkeypatch.setattr(series, "_schedule", counting)
+        assert run_all(ctx, seed=0).all_passed
+        assert precisions and set(precisions) == {2 * n}
+
+
 def unit_by_unit_table(ctx, leads):
     """The log table with one plog per unit, as the tables were built before
     each valuation's series was scheduled once.  plog runs the kernel the
@@ -376,12 +423,12 @@ PLANNED_ROWS = [(3, 6), (3, 8), (3, 9), (3, 10), (5, 6), (5, 7), (7, 5), (11, 4)
 
 def recording(monkeypatch, name, terms_of):
     """The (x, digits) of every call of verify.<name>, _series or
-    _split_series, with terms_of, in order."""
+    _split_series (which also takes its head runs), with terms_of, in order."""
     calls = []
     real = getattr(verify, name)
 
-    def record(const, x, terms, ctx, plans):
-        y = real(const, x, terms, ctx, plans)
+    def record(const, x, terms, ctx, *runs):
+        y = real(const, x, terms, ctx, *runs)
         if terms is terms_of:
             calls.append((x, y))
         return y
@@ -391,11 +438,11 @@ def recording(monkeypatch, name, terms_of):
 
 
 def oracle_log(u):
-    return PiElement(term_by_term_series(0, (0,) + u.digits[1:], series._log_terms, u.ctx, {}), u.ctx)
+    return PiElement(term_by_term_series(0, (0,) + u.digits[1:], series._log_terms, u.ctx), u.ctx)
 
 
 def oracle_exp(y):
-    return PiElement(term_by_term_series(1, y.digits, series._exp_terms, y.ctx, {}), y.ctx)
+    return PiElement(term_by_term_series(1, y.digits, series._exp_terms, y.ctx), y.ctx)
 
 
 class TestAffineTail:
