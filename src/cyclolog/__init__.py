@@ -1,8 +1,13 @@
 """Exact fixed-precision arithmetic for Z_p[pi] with pi^(p-1) = -p, the
 p-adic logarithm and exponential on principal units, constructive log
-preimages on the unit annulus, and exhaustive verifiers."""
+preimages on the unit annulus, and exhaustive verifiers.
+
+The verifier's names are looked up in cyclolog.verify when asked for, so
+importing the package, or running any cli command but verify, never loads it.
+"""
 
 from .errors import (
+    DEFAULT_CAP,
     BranchZero,
     CapExceeded,
     ContextMismatch,
@@ -22,16 +27,6 @@ from .preimage import (
     preimage_all,
     qr_pair_enumeration,
     roots_of_unity,
-)
-from .verify import (
-    DEFAULT_CAP,
-    CheckResult,
-    VerificationReport,
-    check_annulus_image,
-    check_full_image_and_index,
-    check_residue_field,
-    check_square_iso,
-    run_all,
 )
 
 __version__ = "0.1.0"
@@ -72,3 +67,29 @@ __all__ = [
     "roots_of_unity",
     "run_all",
 ]
+
+_VERIFY_NAMES = frozenset({
+    "CheckResult",
+    "VerificationReport",
+    "check_annulus_image",
+    "check_full_image_and_index",
+    "check_residue_field",
+    "check_square_iso",
+    "run_all",
+})
+
+
+def __getattr__(name):
+    # Looked up in verify on every call and never stored here: a stored
+    # function would keep whatever verify held at the first lookup, such as a
+    # wrapper a tracer has since taken away.
+    if name == "verify" or name in _VERIFY_NAMES:
+        import importlib
+
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _VERIFY_NAMES | {"verify"})

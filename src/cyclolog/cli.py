@@ -15,11 +15,17 @@ import itertools
 import os
 import sys
 
-from .errors import CapExceeded, CyclologError, DigitStringError
+from .errors import (
+    DEFAULT_CAP,
+    CapExceeded,
+    CyclologError,
+    DigitStringError,
+    _enumeration_count,
+    _require,
+)
 from .ring import Context, PiElement, format_digits, parse_digits
 from .series import pexp, plog
 from .preimage import preimage, preimage_all, roots_of_unity
-from .verify import DEFAULT_CAP, _enumeration_count, _require, run_all
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,6 +97,8 @@ def _cmd_roots(args, ctx: Context) -> int:
 
 
 def _cmd_verify(args, ctx: Context) -> int:
+    from .verify import run_all  # the only command that needs the verifier
+
     report = run_all(ctx, seed=args.seed, cap=args.cap)
     if args.json:
         print(report.to_json())

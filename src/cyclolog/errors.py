@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration-cap helpers
+next to CapExceeded: DEFAULT_CAP, _require and _enumeration_count.  verify's
+checks and the cli's table command both charge the cap here, so the cli loads
+verify only for the verify command."""
+
+import operator
+
+DEFAULT_CAP = 10_000_000
 
 
 class CyclologError(Exception):
@@ -44,3 +51,20 @@ class CapExceeded(CyclologError):
         super().__init__(f"enumeration of {required} elements exceeds cap {cap}")
         self.required = required
         self.cap = cap
+
+
+def _require(total: int, cap: int) -> None:
+    cap = operator.index(cap)
+    if total > cap:
+        raise CapExceeded(total, cap)
+
+
+def _enumeration_count(lead: int, p: int, exponent: int, cap: int) -> int:
+    """lead * p**exponent, exact up to max(cap, 10**18); past that it stops
+    growing, still over the cap and small enough to print."""
+    total, limit = lead, max(operator.index(cap), 10**18)
+    for _ in range(exponent):
+        if total > limit:
+            break
+        total *= p
+    return total

@@ -24,7 +24,6 @@ from __future__ import annotations
 import operator
 import struct
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
 from .errors import (
     ContextMismatch,
@@ -54,19 +53,61 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Context:
+class _Frozen:
+    """The value semantics of a frozen dataclass over the fields named in
+    __match_args__: ==, hash and repr read those fields alone, and no
+    attribute can be set or deleted once __init__ has stored them with
+    _set.  It keeps dataclasses, and the inspect that it loads, out of
+    the package's import; only a refused assignment loads it, for
+    FrozenInstanceError."""
+
+    __match_args__: tuple[str, ...]
+
+    def _set(self, **attrs) -> None:
+        # object.__setattr__ keeps the instance's attributes inline, where
+        # reads are faster than through a __dict__ that vars() has made
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # every binary ring op compares two contexts, nearly always one object
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Context(_Frozen):
     """The pair (p, precision) fixing the quotient ring Z_p[pi] / pi^precision."""
 
+    __match_args__ = ("p", "precision")
     p: int
     precision: int
-    # series._series's plans, keyed by (terms_of, v): pure functions of
-    # (series, p, precision, v), so outside equality, hash and repr
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", operator.index(self.p))  # frozen: store plain ints
-        object.__setattr__(self, "precision", operator.index(self.precision))
+    def __init__(self, p: int, precision: int):
+        # plain ints, read in this order; series._series's plans, keyed by
+        # (terms_of, v), are pure functions of (series, p, precision, v), so
+        # they stay outside equality, hash and repr
+        self._set(p=operator.index(p), precision=operator.index(precision), _plans={})
         if self.p < 3:
             raise ValueError(f"p must be an odd prime >= 3, got {self.p!r}")
         if self.p > P_CAP:

@@ -25,10 +25,8 @@ per valuation and Context, and keeps the plan on the Context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotPrincipalUnit, ValuationTooSmall
-from .ring import Context, PiElement, PrincipalUnit, _canonical, _in_range, _pack, _unpack
+from .ring import Context, PiElement, PrincipalUnit, _canonical, _Frozen, _in_range, _pack, _unpack
 
 
 def _floor_log(p: int, n: int) -> int:
@@ -38,8 +36,7 @@ def _floor_log(p: int, n: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class SeriesBudget:
+class SeriesBudget(_Frozen):
     """Tail certificate for the logarithm series.
 
     p_power_cap is the least L with p**L > target_prec + (p-1)*L; cutoff and
@@ -49,10 +46,12 @@ class SeriesBudget:
     pad from it; the class stays exported as the tail certificate.
     """
 
-    target_prec: int
-    cutoff: int
-    working_prec: int
-    p_power_cap: int
+    __match_args__ = ("target_prec", "cutoff", "working_prec", "p_power_cap")
+
+    def __init__(self, target_prec: int, cutoff: int, working_prec: int, p_power_cap: int):
+        self._set(
+            target_prec=target_prec, cutoff=cutoff, working_prec=working_prec, p_power_cap=p_power_cap
+        )
 
     @classmethod
     def for_target(cls, p: int, target_prec: int) -> SeriesBudget:

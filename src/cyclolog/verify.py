@@ -41,12 +41,11 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, CyclologError
+from .errors import DEFAULT_CAP, CapExceeded, CyclologError, _enumeration_count, _require
 from .ring import Context, PiElement, _canonical, _pack, _unpack, format_digits
 from .series import _exp_terms, _log_terms, _series, log_digit_formula, pexp, plog
 from .preimage import digit2_for_branch, preimage_all, qr_pair_enumeration, roots_of_unity
 
-DEFAULT_CAP = 10_000_000
 _MAX_WITNESSES = 5
 _DIGIT2_PAIRS = 4096
 
@@ -141,23 +140,6 @@ class _Tables:
     @functools.cached_property
     def squares(self) -> _LogTable:
         return _log_table(self.ctx, (0,))
-
-
-def _require(total: int, cap: int) -> None:
-    cap = operator.index(cap)
-    if total > cap:
-        raise CapExceeded(total, cap)
-
-
-def _enumeration_count(lead: int, p: int, exponent: int, cap: int) -> int:
-    """lead * p**exponent, exact up to max(cap, 10**18); past that it stops
-    growing, still over the cap and small enough to print."""
-    total, limit = lead, max(operator.index(cap), 10**18)
-    for _ in range(exponent):
-        if total > limit:
-            break
-        total *= p
-    return total
 
 
 def _witnesses(digit_tuples) -> list[str]:

@@ -335,6 +335,31 @@ class TestEntryPoint:
         assert proc.wait(timeout=60) == 141
         assert err == ""
 
+    def test_only_verify_loads_the_verifier(self):
+        # measured against the modules loaded once argparse is, whatever
+        # site preloads on this Python
+        script = (
+            "import argparse, contextlib, io, sys\n"
+            "base = set(sys.modules)\n"
+            "import cyclolog.cli\n"
+            "print(*sorted(set(sys.modules) - base))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cyclolog.cli.main(['log', '--p', '5', '--prec', '8', '--unit', '1,1'])]\n"
+            "print(*sorted(set(sys.modules) - base))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes.append(cyclolog.cli.main(['verify', '--p', '3', '--prec', '5']))\n"
+            "print(*sorted(set(sys.modules) - base))\n"
+            "print(*codes)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        imported, logged, verified, codes = (set(line.split()) for line in proc.stdout.splitlines())
+        assert codes == {"0"}
+        heavy = {"cyclolog.verify", "json", "dataclasses", "inspect"}
+        assert "cyclolog.cli" in imported and not imported & heavy
+        assert not logged & heavy
+        assert "cyclolog.verify" in verified
+
     def test_bad_precision_exits_2(self, capsys):
         for argv in (
             ["roots", "--p", "5", "--prec", "3"],

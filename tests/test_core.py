@@ -1,9 +1,15 @@
+import copy
+import dataclasses
 import operator
+import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import cyclolog
 from cyclolog import (
     Context,
     ContextMismatch,
@@ -13,6 +19,7 @@ from cyclolog import (
     NotPrincipalUnit,
     PiElement,
     PrincipalUnit,
+    SeriesBudget,
     check_residue_field,
     digit2_for_branch,
     fermat_digit_check,
@@ -408,6 +415,120 @@ class TestContext:
         ctx = Context(5, 4)
         assert ctx.parse("1,3") == parse_digits("1,3", ctx)
         assert ctx.parse("1,3").digits == (1, 3, 0, 0)
+
+
+class TestPublicSurface:
+    """The package's names, seven of them served from cyclolog.verify on
+    lookup."""
+
+    ALL = [
+        "BranchZero", "CapExceeded", "CheckResult", "Context", "ContextMismatch",
+        "CyclologError", "DEFAULT_CAP", "DigitStringError", "NotAUnit", "NotDivisible",
+        "NotInMSquared", "NotPrincipalUnit", "PiElement", "PrincipalUnit", "SeriesBudget",
+        "ValuationTooSmall", "VerificationReport", "check_annulus_image",
+        "check_full_image_and_index", "check_residue_field", "check_square_iso",
+        "digit2_for_branch", "fermat_digit_check", "format_digits", "log_digit_formula",
+        "normalize", "parse_digits", "pexp", "plog", "preimage", "preimage_all",
+        "qr_pair_enumeration", "roots_of_unity", "run_all",
+    ]
+
+    def test_all_is_unchanged_and_every_name_resolves(self):
+        assert cyclolog.__all__ == self.ALL
+        for name in self.ALL:
+            assert getattr(cyclolog, name) is not None, name
+        assert cyclolog.DEFAULT_CAP == verify.DEFAULT_CAP == 10_000_000
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from cyclolog import *", namespace)
+        assert set(self.ALL) <= namespace.keys()
+        assert namespace["run_all"] is verify.run_all
+
+    def test_dir_lists_every_name_and_verify(self):
+        assert set(self.ALL) | {"verify"} <= set(dir(cyclolog))
+
+    def test_verifier_names_are_looked_up_in_verify_every_time(self, monkeypatch):
+        # a stored name would keep a function that verify has since replaced
+        assert cyclolog.verify is verify
+        for name in ("run_all", "CheckResult", "VerificationReport", "check_square_iso"):
+            assert getattr(cyclolog, name) is getattr(verify, name)
+            assert name not in vars(cyclolog)
+
+        def stand_in(ctx, seed=0, cap=0):
+            return "stand-in"
+
+        real = cyclolog.run_all
+        monkeypatch.setattr(verify, "run_all", stand_in)
+        assert cyclolog.run_all is stand_in
+        monkeypatch.undo()
+        assert cyclolog.run_all is real
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            cyclolog.no_such_name
+
+    def test_verify_is_reachable_after_a_plain_import(self):
+        code = (
+            "import sys, cyclolog\n"
+            "assert 'cyclolog.verify' not in sys.modules\n"
+            "assert cyclolog.verify.run_all is cyclolog.run_all\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestFrozenValues:
+    """Context and SeriesBudget keep the value semantics they had as frozen
+    dataclasses: keyword construction, field-wise ==, hash and repr, no
+    assignment, and pickle and copy round trips."""
+
+    VALUES = [
+        (Context(p=5, precision=6), Context(5, 6), "Context(p=5, precision=6)"),
+        (
+            SeriesBudget.for_target(5, 6),
+            SeriesBudget(target_prec=6, cutoff=14, working_prec=14, p_power_cap=2),
+            "SeriesBudget(target_prec=6, cutoff=14, working_prec=14, p_power_cap=2)",
+        ),
+    ]
+
+    @pytest.mark.parametrize("value,equal,text", VALUES, ids=["Context", "SeriesBudget"])
+    def test_value_semantics(self, value, equal, text):
+        assert value == equal and hash(value) == hash(equal)
+        assert repr(value) == repr(equal) == text
+        fields = tuple(vars(value)[name] for name in value.__match_args__)
+        assert hash(value) == hash(fields)
+        assert (value == fields) is False and value != fields
+        for roundtrip in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+            twin = roundtrip(value)
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+
+    @pytest.mark.parametrize("value", [v for v, _, _ in VALUES], ids=["Context", "SeriesBudget"])
+    def test_assigning_or_deleting_raises(self, value):
+        name = value.__match_args__[0]
+        before = getattr(value, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.extra = 1
+        assert getattr(value, name) == before and not hasattr(value, "extra")
+
+    def test_context_reads_both_integers_before_any_check(self):
+        with pytest.raises(TypeError):
+            Context(5.0, 6)
+        with pytest.raises(TypeError):
+            Context(4, 6.0)
+        with pytest.raises(ValueError, match=r"^p must be an odd prime >= 3, got 4$"):
+            Context(4, 3)
+        with pytest.raises(ValueError, match=r"^precision must be an integer >= 4, got 3$"):
+            Context(5, 3)
+
+    def test_contexts_of_other_classes_are_unequal(self):
+        class Other(Context):
+            pass
+
+        assert Context(5, 6) != Other(5, 6) and Other(5, 6) == Other(5, 6)
 
 
 class TestDigitStrings:
