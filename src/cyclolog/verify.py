@@ -5,19 +5,21 @@ run_all enumerates the annulus units and the units of 1 + m_K^2 once each, on
 first use within the cap, into tables from log digits to unit digits that
 every exhaustive check reads.  A table runs series._series, plog's evaluator,
 only at the heads, the digits below h = ceil(N/2): past h the series is
-affine, so _split_series gives each unit's log as its head's plus one packed
-sum of its tail digits.  square_isomorphism inverts its images the same way
-with pexp's series, and residue_field runs series._series on each of its p
-units.  The series' plans live on the Context, so a Context used again plans
-nothing again; no head run outlives the table or check that made it.  So the
-exhaustive checks rest on the affine identity: a kernel fault that shows only
-where an input has nonzero digits at or past h never reaches a table, and the
-sampled checks, which run plog and pexp on whole random elements, are what
-see it.  An exhaustive check takes the run's tables or, called on its own,
-builds its own, and charges the cap before it touches a table.  One prefix
-test, digits 0 and 1 zero, decides membership in m_K^2, and every log passes
-it before pexp sees it.  Counts are exact and failures carry digit-string
-witnesses.
+affine, so _split_walk runs it twice per head and walks the tail digits as a
+trie with one divmod per node.  A node's digit is final once its level is
+done, as deeper digits and every carry reach only higher positions.
+square_isomorphism walks pexp's series over m_K^2 the same way and compares
+each back-value with the units the squares table holds at it, and
+residue_field runs series._series on each of its p units.  The series' plans
+live on the Context, so a Context used again plans nothing again; no head run
+outlives the walk that made it.  So the exhaustive checks rest on the affine
+identity: a kernel fault that shows only where an input has nonzero digits at
+or past h never reaches a table, and the sampled checks, which run plog and
+pexp on whole random elements, are what see it.  An exhaustive check takes
+the run's tables or, called on its own, builds its own, and charges the cap
+before it touches a table.  One prefix test, digits 0 and 1 zero, decides
+membership in m_K^2, and every log passes it before pexp sees it.  Counts are
+exact and failures carry digit-string witnesses.
 
 run_all adds seeded property suites for the series and preimage modules.  Each
 sampled check is a stream of (ok, witnesses) trials counted by one tally,
@@ -42,7 +44,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DEFAULT_CAP, CapExceeded, CyclologError, _enumeration_count, _require
-from .ring import Context, PiElement, _canonical, _pack, _unpack, format_digits
+from .ring import Context, PiElement, _canonical, format_digits
 from .series import _exp_terms, _log_terms, _series, log_digit_formula, pexp, plog
 from .preimage import digit2_for_branch, preimage_all, qr_pair_enumeration, roots_of_unity
 
@@ -53,7 +55,7 @@ _DIGIT2_PAIRS = 4096
 _LogTable = dict[tuple[int, ...], list[tuple[int, ...]]]
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     name: str
     passed: bool
@@ -64,7 +66,7 @@ class CheckResult:
         return dataclasses.asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     p: int
     precision: int
@@ -81,11 +83,10 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _split_series(
-    const: int, x: tuple[int, ...], terms_of, ctx: Context, runs: dict
-) -> tuple[int, ...]:
-    """Canonical digits of const + the series terms_of at the digits x, equal
-    to _series's, from two _series runs per head: x's digits below h = ceil(N/2).
+def _split_walk(const: int, lead: int, terms_of, ctx: Context):
+    """(x, y) for every x = (0, lead) + tail in increasing digit order, y the
+    canonical digits of const + the series terms_of at x, equal to _series's,
+    from two _series runs per head: x's digits below h = ceil(N/2).
 
     Past h the series f is affine.  For v(t) >= h and N >= 4, mod pi^N,
     log(u + t) = log u + t*u^-1 and exp(y + t) = exp(y)*(1 + t): a term of
@@ -94,36 +95,55 @@ def _split_series(
     x0 = head + zeros and d = f(x0 + pi^h) - f(x0) = pi^h * f'(x0), where
     f' is (1 + x0)^-1 for the log and exp(x0) for exp,
     f(x) = f(x0) + sum(x[h+j] * pi^j * d), and pi^j * d is d moved up j
-    digits.  f(x0) and the N - h vectors pi^j * d stay packed in `runs`, keyed
-    by the head alone, so one runs dict serves one (const, terms_of) in one
-    ctx; the plans behind the two runs stay on ctx.  A limb of the packed sum
-    is at most (p-1) * (1 + (N-h)*(p-1)) < 2**64, as p <= 2**20 and N <= 2**24.
+    digits.  d's digits below h are zero, so f(x) has f(x0)'s digits there.
+
+    The N - h tail digits are walked as a trie, outermost first.  A node at
+    depth j adds t * pi^j * d to its parent's raw vector and takes one divmod
+    at position h + j; that digit is final, since the deeper digits add only
+    at h + j + 1 and up and every carry moves p - 1 positions up, to
+    h + j + p - 1, where it is pushed, or past N, where it is dropped.  So a
+    raw vector holds only the positions still open, and a leaf's top digit is
+    (r + t * d[h]) mod p with r its parent's open raw digit.  The stack holds
+    at most p open nodes per level: no head's units are ever held at once.
+    The two runs' plans stay on ctx.
     """
     p, N = ctx.p, ctx.precision
     h = (N + 1) // 2
-    head = x[:h]
-    run = runs.get(head)
-    if run is None:
-        y0 = _series(const, head + (0,) * (N - h), terms_of, ctx)
-        y1 = _series(const, head + (1,) + (0,) * (N - h - 1), terms_of, ctx)
-        d = _canonical([b - a for a, b in zip(y0, y1)], p, N)
-        run = runs[head] = (_pack(y0, N), [_pack((0,) * j + d, N) for j in range(N - h)])
-    base, steps = run
-    return _canonical(_unpack(base + sum(map(operator.mul, x[h:], steps)), N), p, N)
+    digits = [(t,) for t in range(p)]
+    wrapped = digits * 2  # wrapped[r + s] == ((r + s) % p,) for r, s in [0, p)
+    for head in itertools.product(range(p), repeat=h - 2):
+        x0 = (0, lead) + head
+        y0 = _series(const, x0 + (0,) * (N - h), terms_of, ctx)
+        y1 = _series(const, x0 + (1,) + (0,) * (N - h - 1), terms_of, ctx)
+        d = _canonical([b - a for a, b in zip(y0, y1)], p, N)[h:]
+        tops = [t * d[0] % p for t in range(p)]
+        moved = [[t * c for c in d[1:]] for t in range(p)]  # t*d above a node's digit
+        stack = [(x0, y0[:h], list(y0[h:]))]  # (x digits, final y digits, open raw)
+        while stack:
+            x, y, raw = stack.pop()
+            if len(raw) == 1:
+                leaf_tops = map(wrapped.__getitem__, map((raw[0] % p).__add__, tops))
+                yield from zip(map(x.__add__, digits), map(y.__add__, leaf_tops))
+                continue
+            rest = raw[1:]
+            for t in reversed(range(p)):
+                q, r = divmod(raw[0] + t * d[0], p)
+                child = list(map(operator.add, rest, moved[t]))
+                if p - 1 < len(raw):  # the carry lands p - 1 up, else past N
+                    child[p - 2] -= q
+                stack.append((x + digits[t], y + digits[r], child))
 
 
 def _log_table(ctx: Context, leads) -> _LogTable:
     """{plog digits: [unit digits]} over the units 1 + a1*pi + ... with a1 in
-    `leads`, in enumeration order, which is increasing digit order.  Each
-    log is _split_series at the unit's digits, so the log series runs twice
-    per head, (p-1)*p^(h-2) heads for the annulus and p^(h-2) for 1 + m_K^2,
-    instead of once per unit."""
+    `leads`, in enumeration order, which is increasing digit order.  The logs
+    come from _split_walk, so the log series runs twice per head,
+    (p-1)*p^(h-2) heads for the annulus and p^(h-2) for 1 + m_K^2, instead of
+    once per unit."""
     table: _LogTable = {}
-    runs = {}
     for a1 in leads:
-        for tail in itertools.product(range(ctx.p), repeat=ctx.precision - 2):
-            lg = _split_series(0, (0, a1) + tail, _log_terms, ctx, runs)
-            table.setdefault(lg, []).append((1, a1) + tail)
+        for x, lg in _split_walk(0, a1, _log_terms, ctx):
+            table.setdefault(lg, []).append((1,) + x[1:])
     return table
 
 
@@ -190,13 +210,10 @@ def check_square_iso(
     _require(total, cap)
     tables = _Tables(ctx) if tables is None else tables
     images = tables.squares
-    outside, unrecovered, runs = [], [], {}
-    for lg, units in images.items():
-        if lg[0] or lg[1]:
-            outside += units
-            continue
-        back = _split_series(1, lg, _exp_terms, ctx, runs)
-        unrecovered += (u for u in units if u != back)
+    outside = [u for lg, units in images.items() if lg[0] or lg[1] for u in units]
+    unrecovered = []
+    for y, back in _split_walk(1, 0, _exp_terms, ctx):
+        unrecovered += (u for u in images.get(y, ()) if u != back)
     passed = not outside and not unrecovered and len(images) == total
     counts = {
         "units": total,

@@ -1,7 +1,7 @@
 """A fault in verify's logs, injected where verify takes them: at verify.plog,
-which the sampled checks call, at verify._split_series, which the exhaustive
-tables call once for each unit they enumerate, and at verify._series, which
-check_residue_field calls for each of its p logs."""
+which the sampled checks call, at verify._split_walk, which gives the
+exhaustive tables one log for each unit they enumerate, and at verify._series,
+which check_residue_field calls for each of its p logs."""
 
 from __future__ import annotations
 
@@ -14,11 +14,11 @@ def inject_log_fault(monkeypatch, fault) -> None:
     those digits.  fault reads digits 1 on, which u and u - 1 share: the
     exhaustive checks evaluate the log at the digits of u - 1.
 
-    _split_series runs _series at each head it meets, and those runs are no
-    unit's evaluation: _series adds the fault only outside _split_series, so
-    every table unit gets its fault once, from _split_series, zero tail or
-    not."""
-    real_plog, real_series, real_split = verify.plog, verify._series, verify._split_series
+    _split_walk runs _series at each head it meets, and those runs are no
+    unit's evaluation: _series adds the fault only while no walk is running
+    its real generator, so every table unit gets its fault once, from the
+    pair the walk yields for it, zero tail or not."""
+    real_plog, real_series, real_walk = verify.plog, verify._series, verify._split_walk
     splitting = []
 
     def faulty(y, x, terms_of, ctx):
@@ -33,17 +33,22 @@ def inject_log_fault(monkeypatch, fault) -> None:
         y = real_series(const, x, terms_of, ctx)
         return y if splitting else faulty(y, x, terms_of, ctx)
 
-    def split_series(const, x, terms_of, ctx, runs):
-        splitting.append(x)
-        try:
-            y = real_split(const, x, terms_of, ctx, runs)
-        finally:
-            splitting.pop()
-        return faulty(y, x, terms_of, ctx)
+    def split_walk(const, lead, terms_of, ctx):
+        walk = real_walk(const, lead, terms_of, ctx)
+        while True:
+            splitting.append(lead)
+            try:
+                pair = next(walk, None)
+            finally:
+                splitting.pop()
+            if pair is None:
+                return
+            x, y = pair
+            yield x, faulty(y, x, terms_of, ctx)
 
     monkeypatch.setattr(verify, "plog", plog)
     monkeypatch.setattr(verify, "_series", series)
-    monkeypatch.setattr(verify, "_split_series", split_series)
+    monkeypatch.setattr(verify, "_split_walk", split_walk)
 
 
 def golden_fault(digits, ctx):

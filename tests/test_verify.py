@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
 import random
 import tracemalloc
 from pathlib import Path
@@ -8,8 +11,10 @@ import pytest
 
 from cyclolog import (
     CapExceeded,
+    CheckResult,
     Context,
     PiElement,
+    VerificationReport,
     check_annulus_image,
     check_full_image_and_index,
     check_residue_field,
@@ -277,6 +282,29 @@ class TestRunAll:
             assert all(isinstance(w, str) for w in check["witnesses"])
 
 
+class TestReportTypes:
+    # run_all's callers may keep many reports, so they carry no __dict__
+    def test_reports_are_slotted_and_copy_exactly(self):
+        report = run_all(Context(3, 6), seed=0)
+        for obj in (report, report.checks[0]):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(AttributeError):
+                obj.extra = 1
+            protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+            copies = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in protocols]
+            for copied in copies + [copy.copy(obj), copy.deepcopy(obj)]:
+                assert type(copied) is type(obj)
+                assert copied == obj and repr(copied) == repr(obj)
+                assert copied.to_dict() == obj.to_dict()
+        assert copy.deepcopy(report).to_json() == report.to_json()
+        assert [f.name for f in dataclasses.fields(CheckResult)] == [
+            "name", "passed", "counts", "witnesses"
+        ]
+        assert [f.name for f in dataclasses.fields(VerificationReport)] == [
+            "p", "precision", "checks"
+        ]
+
+
 class TestGoldenReports:
     # captured with `cyclolog verify --json` before the single-pass verifier;
     # the default JSON report must stay byte-identical for a fixed seed
@@ -422,19 +450,35 @@ PLANNED_ROWS = [(3, 6), (3, 8), (3, 9), (3, 10), (5, 6), (5, 7), (7, 5), (11, 4)
 
 
 def recording(monkeypatch, name, terms_of):
-    """The (x, digits) of every call of verify.<name>, _series or
-    _split_series (which also takes its head runs), with terms_of, in order."""
+    """The (x, digits) of every call of verify.<name>, such as _series, with
+    terms_of, in order."""
     calls = []
     real = getattr(verify, name)
 
-    def record(const, x, terms, ctx, *runs):
-        y = real(const, x, terms, ctx, *runs)
+    def record(const, x, terms, ctx):
+        y = real(const, x, terms, ctx)
         if terms is terms_of:
             calls.append((x, y))
         return y
 
     monkeypatch.setattr(verify, name, record)
     return calls
+
+
+def walked(monkeypatch, terms_of):
+    """The (x, digits) pairs of every verify._split_walk with terms_of, in the
+    order the walks yield them."""
+    pairs = []
+    real = verify._split_walk
+
+    def record(const, lead, terms, ctx):
+        for x, y in real(const, lead, terms, ctx):
+            if terms is terms_of:
+                pairs.append((x, y))
+            yield x, y
+
+    monkeypatch.setattr(verify, "_split_walk", record)
+    return pairs
 
 
 def oracle_log(u):
@@ -487,17 +531,17 @@ class TestPlannedTables:
     @pytest.mark.parametrize("p,n", PLANNED_ROWS)
     def test_square_iso_back_values_are_pexp(self, p, n, monkeypatch):
         ctx = Context(p, n)
-        backs = recording(monkeypatch, "_split_series", verify._exp_terms)
+        backs = walked(monkeypatch, verify._exp_terms)
         assert check_square_iso(ctx).passed
         assert len(backs) == p ** (n - 2)
-        assert sorted(x for x, _ in backs) == sorted(_m_squared(ctx))
+        assert [x for x, _ in backs] == sorted(_m_squared(ctx))
         monkeypatch.setattr(series, "_series", term_by_term_series)
         assert all(y == pexp(PiElement(x, ctx)).digits for x, y in backs)
 
     @pytest.mark.parametrize("p,n", [(3, 6), (5, 5), (3, 9)])
     def test_each_unit_gets_its_fault_once(self, p, n, monkeypatch):
         # a head's run is no unit's log: a fault on the units whose tail is
-        # zero, which _split_series reads off their head's run, moves those
+        # zero, which _split_walk reads off their head's run, moves those
         # units' logs and no other
         ctx, h = Context(p, n), (n + 1) // 2
         real = verify._Tables(ctx)
@@ -525,6 +569,37 @@ class TestPlannedTables:
         assert [x for x, _ in logs] == [(0, a1, 0, 0) for a1 in range(p)]
         monkeypatch.setattr(series, "_series", term_by_term_series)
         assert all(y == plog(PiElement((1,) + x[1:], ctx)).digits for x, y in logs)
+
+
+class TestSplitWalk:
+    # the walk runs the series twice per head, never once per unit, and
+    # yields a head's first units before it has walked the rest
+    @pytest.mark.parametrize("p,n", PLANNED_ROWS)
+    def test_two_series_runs_per_head(self, p, n, monkeypatch):
+        ctx, h = Context(p, n), (n + 1) // 2
+        for const, lead, terms in ((0, 1, verify._log_terms), (1, 0, verify._exp_terms)):
+            runs = recording(monkeypatch, "_series", terms)
+            units = sum(1 for _ in verify._split_walk(const, lead, terms, ctx))
+            assert units == p ** (n - 2)
+            assert len(runs) == 2 * p ** (h - 2)
+            assert {x[h:] for x, _ in runs} == {(0,) * (n - h), (1,) + (0,) * (n - h - 1)}
+
+    def test_first_units_need_one_head_and_no_buffer(self, monkeypatch):
+        # at N = 4 the one head of a lead has p^2 = 1018081 units
+        ctx = Context(1009, 4)
+        runs = recording(monkeypatch, "_series", verify._log_terms)
+        tracemalloc.start()
+        try:
+            walk = verify._split_walk(0, 1, verify._log_terms, ctx)
+            first = list(itertools.islice(walk, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(runs) == 2
+        assert peak < 4 * 1024 * 1024
+        assert [x for x, _ in first] == [(0, 1, 0, t) for t in range(5)]
+        for x, y in first:
+            assert y == term_by_term_series(0, x, verify._log_terms, ctx)
 
 
 def _pairwise_closure_failures(members, ctx):
