@@ -11,7 +11,6 @@ closed early.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
@@ -24,7 +23,7 @@ from .errors import (
     _require,
 )
 from .ring import Context, PiElement, format_digits, parse_digits
-from .series import pexp, plog
+from .series import _exp_terms, _split_walk, pexp, plog
 from .preimage import preimage, preimage_all, roots_of_unity
 
 
@@ -119,10 +118,13 @@ def _cmd_table(args, ctx: Context) -> int:
     units_total = _enumeration_count(p - 1, p, n - 2, args.cap)
     _require(units_total, args.cap)
     targets_total = units_total // (p - 1)
-    for tail in itertools.product(range(p), repeat=n - 2):
-        y = PiElement._make((0, 0) + tail, ctx)
-        fiber = " ".join(format_digits(u) for u in preimage_all(y))
-        print(f"{format_digits(y)}: {fiber}")
+    roots = roots_of_unity(ctx)
+    # a fiber is a coset: branch b's unit z^b * exp(y) has leading digit b and
+    # log y, so it is preimage(y, b), the one such unit
+    for y, e in _split_walk(1, 0, _exp_terms, ctx):
+        unit = PiElement._make(e, ctx)
+        fiber = " ".join(format_digits(r * unit) for r in roots)
+        print(f"{format_digits(PiElement._make(y, ctx))}: {fiber}")
     print(f"{units_total} units / {targets_total} targets")
     return 0
 

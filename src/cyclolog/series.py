@@ -19,11 +19,20 @@ the Fermat cancellation that puts the image in m^2.
 
 No choice above reads a digit of w: _schedule makes them all once per plan,
 from (terms, p, N) and bounds, and _run carries the plan out for any w.
-_series, the one way in for plog, pexp and verify, plans each series once
-per valuation and Context, and keeps the plan on the Context.
+_series, the one way in for plog, pexp and _split_walk, plans each series
+once per valuation and Context, and keeps the plan on the Context; no module
+but this one calls it.
+
+_split_walk evaluates a series at every x = (0, lead) + tail, for the
+verifier's exhaustive tables and the cli's fiber table, from two _series
+runs per head: past h = ceil(N/2) the series is affine, so the tail digits
+are walked as a trie with one divmod per node.
 """
 
 from __future__ import annotations
+
+import itertools
+import operator
 
 from .errors import NotPrincipalUnit, ValuationTooSmall
 from .ring import Context, PiElement, PrincipalUnit, _canonical, _Frozen, _in_range, _pack, _unpack
@@ -248,6 +257,57 @@ def _series(const: int, x: tuple[int, ...], terms_of, ctx: Context) -> tuple[int
     if (terms_of, v) not in ctx._plans:
         ctx._plans[terms_of, v] = _schedule(terms_of(ctx, v), p, N)
     return _run(const, x[v:] + (0,) * v, ctx._plans[terms_of, v], p, N)
+
+
+def _split_walk(const: int, lead: int, terms_of, ctx: Context):
+    """(x, y) for every x = (0, lead) + tail in increasing digit order, y the
+    canonical digits of const + the series terms_of at x, equal to _series's,
+    from two _series runs per head: x's digits below h = ceil(N/2).
+
+    Past h the series f is affine.  For v(t) >= h and N >= 4, mod pi^N,
+    log(u + t) = log u + t*u^-1 and exp(y + t) = exp(y)*(1 + t): a term of
+    degree n >= 2 of log(1 + z) or exp(z) with v(z) >= h has valuation at
+    least 2h >= N for n = 2 and n*h - (n - 1) >= N for n >= 3.  So with
+    x0 = head + zeros and d = f(x0 + pi^h) - f(x0) = pi^h * f'(x0), where
+    f' is (1 + x0)^-1 for the log and exp(x0) for exp,
+    f(x) = f(x0) + sum(x[h+j] * pi^j * d), and pi^j * d is d moved up j
+    digits.  d's digits below h are zero, so f(x) has f(x0)'s digits there.
+
+    The N - h tail digits are walked as a trie, outermost first.  A node at
+    depth j adds t * pi^j * d to its parent's raw vector and takes one divmod
+    at position h + j; that digit is final, since the deeper digits add only
+    at h + j + 1 and up and every carry moves p - 1 positions up, to
+    h + j + p - 1, where it is pushed, or past N, where it is dropped.  So a
+    raw vector holds only the positions still open, and a leaf's top digit is
+    (r + t * d[h]) mod p with r its parent's open raw digit.  The stack holds
+    at most p open nodes per level: no head's units are ever held at once.
+    The two runs' plans stay on ctx.
+    """
+    p, N = ctx.p, ctx.precision
+    h = (N + 1) // 2
+    digits = [(t,) for t in range(p)]
+    wrapped = digits * 2  # wrapped[r + s] == ((r + s) % p,) for r, s in [0, p)
+    for head in itertools.product(range(p), repeat=h - 2):
+        x0 = (0, lead) + head
+        y0 = _series(const, x0 + (0,) * (N - h), terms_of, ctx)
+        y1 = _series(const, x0 + (1,) + (0,) * (N - h - 1), terms_of, ctx)
+        d = _canonical([b - a for a, b in zip(y0, y1)], p, N)[h:]
+        tops = [t * d[0] % p for t in range(p)]
+        moved = [[t * c for c in d[1:]] for t in range(p)]  # t*d above a node's digit
+        stack = [(x0, y0[:h], list(y0[h:]))]  # (x digits, final y digits, open raw)
+        while stack:
+            x, y, raw = stack.pop()
+            if len(raw) == 1:
+                leaf_tops = map(wrapped.__getitem__, map((raw[0] % p).__add__, tops))
+                yield from zip(map(x.__add__, digits), map(y.__add__, leaf_tops))
+                continue
+            rest = raw[1:]
+            for t in reversed(range(p)):
+                q, r = divmod(raw[0] + t * d[0], p)
+                child = list(map(operator.add, rest, moved[t]))
+                if p - 1 < len(raw):  # the carry lands p - 1 up, else past N
+                    child[p - 2] -= q
+                stack.append((x + digits[t], y + digits[r], child))
 
 
 def plog(u: PiElement) -> PiElement:

@@ -3,15 +3,13 @@ with machine-readable reports.
 
 run_all enumerates the annulus units and the units of 1 + m_K^2 once each, on
 first use within the cap, into tables from log digits to unit digits that
-every exhaustive check reads.  A table runs series._series, plog's evaluator,
-only at the heads, the digits below h = ceil(N/2): past h the series is
-affine, so _split_walk runs it twice per head and walks the tail digits as a
-trie with one divmod per node.  A node's digit is final once its level is
-done, as deeper digits and every carry reach only higher positions.
+every exhaustive check reads.  A table takes its logs from series._split_walk,
+which runs plog's series only at the heads, the digits below h = ceil(N/2),
+and walks the affine tail past h as a trie with one divmod per node.
 square_isomorphism walks pexp's series over m_K^2 the same way and compares
 each back-value with the units the squares table holds at it, and
-residue_field runs series._series on each of its p units.  The series' plans
-live on the Context, so a Context used again plans nothing again; no head run
+residue_field runs plog on each of its p units.  The series' plans live on
+the Context, so a Context used again plans nothing again; no head run
 outlives the walk that made it.  So the exhaustive checks rest on the affine
 identity: a kernel fault that shows only where an input has nonzero digits at
 or past h never reaches a table, and the sampled checks, which run plog and
@@ -44,8 +42,8 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DEFAULT_CAP, CapExceeded, CyclologError, _enumeration_count, _require
-from .ring import Context, PiElement, _canonical, format_digits
-from .series import _exp_terms, _log_terms, _series, log_digit_formula, pexp, plog
+from .ring import Context, PiElement, format_digits
+from .series import _exp_terms, _log_terms, _split_walk, log_digit_formula, pexp, plog
 from .preimage import digit2_for_branch, preimage_all, qr_pair_enumeration, roots_of_unity
 
 _MAX_WITNESSES = 5
@@ -81,57 +79,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-
-def _split_walk(const: int, lead: int, terms_of, ctx: Context):
-    """(x, y) for every x = (0, lead) + tail in increasing digit order, y the
-    canonical digits of const + the series terms_of at x, equal to _series's,
-    from two _series runs per head: x's digits below h = ceil(N/2).
-
-    Past h the series f is affine.  For v(t) >= h and N >= 4, mod pi^N,
-    log(u + t) = log u + t*u^-1 and exp(y + t) = exp(y)*(1 + t): a term of
-    degree n >= 2 of log(1 + z) or exp(z) with v(z) >= h has valuation at
-    least 2h >= N for n = 2 and n*h - (n - 1) >= N for n >= 3.  So with
-    x0 = head + zeros and d = f(x0 + pi^h) - f(x0) = pi^h * f'(x0), where
-    f' is (1 + x0)^-1 for the log and exp(x0) for exp,
-    f(x) = f(x0) + sum(x[h+j] * pi^j * d), and pi^j * d is d moved up j
-    digits.  d's digits below h are zero, so f(x) has f(x0)'s digits there.
-
-    The N - h tail digits are walked as a trie, outermost first.  A node at
-    depth j adds t * pi^j * d to its parent's raw vector and takes one divmod
-    at position h + j; that digit is final, since the deeper digits add only
-    at h + j + 1 and up and every carry moves p - 1 positions up, to
-    h + j + p - 1, where it is pushed, or past N, where it is dropped.  So a
-    raw vector holds only the positions still open, and a leaf's top digit is
-    (r + t * d[h]) mod p with r its parent's open raw digit.  The stack holds
-    at most p open nodes per level: no head's units are ever held at once.
-    The two runs' plans stay on ctx.
-    """
-    p, N = ctx.p, ctx.precision
-    h = (N + 1) // 2
-    digits = [(t,) for t in range(p)]
-    wrapped = digits * 2  # wrapped[r + s] == ((r + s) % p,) for r, s in [0, p)
-    for head in itertools.product(range(p), repeat=h - 2):
-        x0 = (0, lead) + head
-        y0 = _series(const, x0 + (0,) * (N - h), terms_of, ctx)
-        y1 = _series(const, x0 + (1,) + (0,) * (N - h - 1), terms_of, ctx)
-        d = _canonical([b - a for a, b in zip(y0, y1)], p, N)[h:]
-        tops = [t * d[0] % p for t in range(p)]
-        moved = [[t * c for c in d[1:]] for t in range(p)]  # t*d above a node's digit
-        stack = [(x0, y0[:h], list(y0[h:]))]  # (x digits, final y digits, open raw)
-        while stack:
-            x, y, raw = stack.pop()
-            if len(raw) == 1:
-                leaf_tops = map(wrapped.__getitem__, map((raw[0] % p).__add__, tops))
-                yield from zip(map(x.__add__, digits), map(y.__add__, leaf_tops))
-                continue
-            rest = raw[1:]
-            for t in reversed(range(p)):
-                q, r = divmod(raw[0] + t * d[0], p)
-                child = list(map(operator.add, rest, moved[t]))
-                if p - 1 < len(raw):  # the carry lands p - 1 up, else past N
-                    child[p - 2] -= q
-                stack.append((x + digits[t], y + digits[r], child))
 
 
 def _log_table(ctx: Context, leads) -> _LogTable:
@@ -257,7 +204,7 @@ def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
     _require(p, cap)
     units = [PiElement._make((1, a1) + (0,) * (ctx.precision - 2), ctx) for a1 in range(p)]
     m_mod = {(u - 1).digits[:2] for u in units}
-    m2_mod = {_series(0, (0,) + u.digits[1:], _log_terms, ctx)[:2] for u in units}
+    m2_mod = {plog(u).digits[:2] for u in units}
     cosets = len(m_mod) // len(m2_mod)
     passed = cosets == p and m2_mod == {(0, 0)}
     counts = {"m_mod_pi2": len(m_mod), "m2_mod_pi2": len(m2_mod), "cosets": cosets}

@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import json
 import random
 import subprocess
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclolog import Context, parse_digits, plog
+from cyclolog import Context, PiElement, format_digits, parse_digits, plog, preimage_all
 from cyclolog import cli
 from cyclolog.cli import build_parser, main
 from cyclolog.errors import CapExceeded, CyclologError, DigitStringError
@@ -235,6 +237,7 @@ class TestGoldenOutput:
             (["preimage", "--p", "5", "--prec", "16", "--y", Y5, "--branch", "2"], "preimage_branch2_p5_n16.txt"),
             (["roots", "--p", "11", "--prec", "10"], "roots_p11_n10.txt"),
             (["table", "--p", "3", "--prec", "6"], "table_p3_n6.txt"),
+            (["table", "--p", "5", "--prec", "5"], "table_p5_n5.txt"),
         ],
     )
     def test_stdout_matches_golden(self, argv, name, capsys):
@@ -258,7 +261,46 @@ class TestGoldenOutput:
         assert out == (golden / f"{name}.txt").read_text()
 
 
+def per_target_table(p, n):
+    """The table as rendered with one preimage_all per target, the reference
+    for the coset walk."""
+    ctx = Context(p, n)
+    lines = []
+    for tail in itertools.product(range(p), repeat=n - 2):
+        y = PiElement((0, 0) + tail, ctx)
+        lines.append(f"{format_digits(y)}: {' '.join(format_digits(u) for u in preimage_all(y))}\n")
+    lines.append(f"{(p - 1) * p ** (n - 2)} units / {p ** (n - 2)} targets\n")
+    return "".join(lines)
+
+
 class TestTableCommand:
+    @pytest.mark.parametrize("p,n", [(3, 6), (3, 8), (5, 5), (5, 6), (7, 5), (13, 4), (11, 5)])
+    def test_matches_per_target_preimages(self, p, n, capsys):
+        code, out, _ = run_cli(["table", "--p", str(p), "--prec", str(n)], capsys)
+        assert code == 0
+        assert out == per_target_table(p, n)
+
+    def test_solves_one_preimage_in_all(self, capsys, monkeypatch):
+        # the branch-1 root inside roots_of_unity; every fiber is a coset of the roots
+        module = importlib.import_module("cyclolog.preimage")
+        calls, real = [], module.preimage
+
+        def counting(y, branch):
+            calls.append((y.digits, branch))
+            return real(y, branch)
+
+        def refused(y):
+            raise AssertionError("table called preimage_all")
+
+        monkeypatch.setattr(module, "preimage", counting)
+        monkeypatch.setattr(module, "preimage_all", refused)
+        monkeypatch.setattr(cli, "preimage", counting)
+        monkeypatch.setattr(cli, "preimage_all", refused)
+        code, out, _ = run_cli(["table", "--p", "5", "--prec", "5"], capsys)
+        assert code == 0
+        assert out == (Path(__file__).parent / "golden" / "table_p5_n5.txt").read_text()
+        assert calls == [((0,) * 5, 1)]
+
     def test_p3_prec4(self, capsys):
         code, out, _ = run_cli(["table", "--p", "3", "--prec", "4"], capsys)
         assert code == 0
@@ -290,8 +332,14 @@ class TestTableCommand:
         assert code == 4
         assert "cap" in err
 
-    def test_astronomical_count_exits_4(self, capsys):
-        # (p-1)*p^(N-2) has over 4300 digits, too many for str() of the exact count
+    def test_astronomical_count_exits_4(self, capsys, monkeypatch):
+        # (p-1)*p^(N-2) has over 4300 digits, too many for str() of the exact count;
+        # the cap is charged before the roots or the walk run
+        def refused(*args):
+            raise AssertionError("table ran before charging the cap")
+
+        monkeypatch.setattr(cli, "roots_of_unity", refused)
+        monkeypatch.setattr(cli, "_split_walk", refused)
         code, out, err = run_cli(["table", "--p", "1048573", "--prec", "720"], capsys)
         assert code == 4 and not out
         assert err.startswith("error: enumeration of ") and "exceeds cap" in err

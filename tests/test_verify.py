@@ -449,11 +449,10 @@ def unit_by_unit_table(ctx, leads):
 PLANNED_ROWS = [(3, 6), (3, 8), (3, 9), (3, 10), (5, 6), (5, 7), (7, 5), (11, 4), (13, 5)]
 
 
-def recording(monkeypatch, name, terms_of):
-    """The (x, digits) of every call of verify.<name>, such as _series, with
-    terms_of, in order."""
+def recording(monkeypatch, terms_of):
+    """The (x, digits) of every call of series._series with terms_of, in order."""
     calls = []
-    real = getattr(verify, name)
+    real = series._series
 
     def record(const, x, terms, ctx):
         y = real(const, x, terms, ctx)
@@ -461,7 +460,7 @@ def recording(monkeypatch, name, terms_of):
             calls.append((x, y))
         return y
 
-    monkeypatch.setattr(verify, name, record)
+    monkeypatch.setattr(series, "_series", record)
     return calls
 
 
@@ -524,8 +523,10 @@ class TestPlannedTables:
     def test_tables_match_unit_by_unit_plog(self, p, n, monkeypatch):
         ctx = Context(p, n)
         tables = verify._Tables(ctx)
+        # built before the patch: the walk's head runs call series._series
+        planned_tables = ((tables.annulus, range(1, p)), (tables.squares, (0,)))
         monkeypatch.setattr(series, "_series", term_by_term_series)
-        for planned, leads in ((tables.annulus, range(1, p)), (tables.squares, (0,))):
+        for planned, leads in planned_tables:
             assert list(planned.items()) == list(unit_by_unit_table(ctx, leads).items())
 
     @pytest.mark.parametrize("p,n", PLANNED_ROWS)
@@ -564,11 +565,18 @@ class TestPlannedTables:
     @pytest.mark.parametrize("p", [101, 1009])
     def test_residue_field_log_classes_are_plog(self, p, monkeypatch):
         ctx = Context(p, 4)
-        logs = recording(monkeypatch, "_series", verify._log_terms)
+        logs, real = [], verify.plog
+
+        def record(u):
+            y = real(u)
+            logs.append((u.digits, y.digits))
+            return y
+
+        monkeypatch.setattr(verify, "plog", record)
         assert check_residue_field(ctx).passed
-        assert [x for x, _ in logs] == [(0, a1, 0, 0) for a1 in range(p)]
+        assert [u for u, _ in logs] == [(1, a1, 0, 0) for a1 in range(p)]
         monkeypatch.setattr(series, "_series", term_by_term_series)
-        assert all(y == plog(PiElement((1,) + x[1:], ctx)).digits for x, y in logs)
+        assert all(y == plog(PiElement(u, ctx)).digits for u, y in logs)
 
 
 class TestSplitWalk:
@@ -577,9 +585,9 @@ class TestSplitWalk:
     @pytest.mark.parametrize("p,n", PLANNED_ROWS)
     def test_two_series_runs_per_head(self, p, n, monkeypatch):
         ctx, h = Context(p, n), (n + 1) // 2
-        for const, lead, terms in ((0, 1, verify._log_terms), (1, 0, verify._exp_terms)):
-            runs = recording(monkeypatch, "_series", terms)
-            units = sum(1 for _ in verify._split_walk(const, lead, terms, ctx))
+        for const, lead, terms in ((0, 1, series._log_terms), (1, 0, series._exp_terms)):
+            runs = recording(monkeypatch, terms)
+            units = sum(1 for _ in series._split_walk(const, lead, terms, ctx))
             assert units == p ** (n - 2)
             assert len(runs) == 2 * p ** (h - 2)
             assert {x[h:] for x, _ in runs} == {(0,) * (n - h), (1,) + (0,) * (n - h - 1)}
@@ -587,10 +595,10 @@ class TestSplitWalk:
     def test_first_units_need_one_head_and_no_buffer(self, monkeypatch):
         # at N = 4 the one head of a lead has p^2 = 1018081 units
         ctx = Context(1009, 4)
-        runs = recording(monkeypatch, "_series", verify._log_terms)
+        runs = recording(monkeypatch, series._log_terms)
         tracemalloc.start()
         try:
-            walk = verify._split_walk(0, 1, verify._log_terms, ctx)
+            walk = series._split_walk(0, 1, series._log_terms, ctx)
             first = list(itertools.islice(walk, 5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -599,7 +607,7 @@ class TestSplitWalk:
         assert peak < 4 * 1024 * 1024
         assert [x for x, _ in first] == [(0, 1, 0, t) for t in range(5)]
         for x, y in first:
-            assert y == term_by_term_series(0, x, verify._log_terms, ctx)
+            assert y == term_by_term_series(0, x, series._log_terms, ctx)
 
 
 def _pairwise_closure_failures(members, ctx):
