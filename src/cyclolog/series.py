@@ -19,14 +19,16 @@ the Fermat cancellation that puts the image in m^2.
 
 No choice above reads a digit of w: _schedule makes them all once per plan,
 from (terms, p, N) and bounds, and _run carries the plan out for any w.
-_series, the one way in for plog, pexp and _split_walk, plans each series
-once per valuation and Context, and keeps the plan on the Context; no module
-but this one calls it.
+_series, the one way in for plog, pexp and _heads, plans each series once
+per valuation and Context, and keeps the plan on the Context; no module but
+this one calls it.
 
-_split_walk evaluates a series at every x = (0, lead) + tail, for the
-verifier's exhaustive tables and the cli's fiber table, from two _series
-runs per head: past h = ceil(N/2) the series is affine, so the tail digits
-are walked as a trie with one divmod per node.
+_heads runs a series at the two points x0 and x0 + pi^h of every head x0,
+the digits below h = ceil(N/2) of x = (0, lead) + tail.  Past h the series
+is affine, so the two runs give it on all p^(N-h) points of the head: the
+verifier counts its exhaustive checks from these head rows, and
+_split_walk, for the cli's fiber table, walks each head's tail digits as a
+trie with one divmod per node.
 """
 
 from __future__ import annotations
@@ -259,19 +261,38 @@ def _series(const: int, x: tuple[int, ...], terms_of, ctx: Context) -> tuple[int
     return _run(const, x[v:] + (0,) * v, ctx._plans[terms_of, v], p, N)
 
 
-def _split_walk(const: int, lead: int, terms_of, ctx: Context):
-    """(x, y) for every x = (0, lead) + tail in increasing digit order, y the
-    canonical digits of const + the series terms_of at x, equal to _series's,
-    from two _series runs per head: x's digits below h = ceil(N/2).
+def _heads(const: int, lead: int, terms_of, ctx: Context):
+    """(x0, y0, d) for every head x0 = (0, lead) + digits 2..h-1, h = ceil(N/2),
+    in increasing digit order: y0 the canonical digits of const + the series
+    terms_of at x0 + zeros, and d the N - h digits from h on of
+    f(x0 + pi^h) - f(x0), from the two _series runs the head takes.
 
     Past h the series f is affine.  For v(t) >= h and N >= 4, mod pi^N,
     log(u + t) = log u + t*u^-1 and exp(y + t) = exp(y)*(1 + t): a term of
     degree n >= 2 of log(1 + z) or exp(z) with v(z) >= h has valuation at
-    least 2h >= N for n = 2 and n*h - (n - 1) >= N for n >= 3.  So with
-    x0 = head + zeros and d = f(x0 + pi^h) - f(x0) = pi^h * f'(x0), where
-    f' is (1 + x0)^-1 for the log and exp(x0) for exp,
-    f(x) = f(x0) + sum(x[h+j] * pi^j * d), and pi^j * d is d moved up j
-    digits.  d's digits below h are zero, so f(x) has f(x0)'s digits there.
+    least 2h >= N for n = 2 and n*h - (n - 1) >= N for n >= 3.  So
+    f(x0 + pi^h) - f(x0) = pi^h * f'(x0), with f' the unit (1 + x0)^-1 for
+    the log and exp(x0) for exp, which is 1 mod pi: its digits below h are
+    zero and digit h is 1, so d[0] = 1.  Every x = x0 + pi^h * tau then has
+    f(x) = f(x0) + pi^h * tau * d, and as tau runs over the p^(N-h) tails,
+    f(x) runs once over the coset f(x0)[:h] + pi^h * O.  The two runs'
+    plans stay on ctx.
+    """
+    p, N = ctx.p, ctx.precision
+    h = (N + 1) // 2
+    zeros, step = (0,) * (N - h), (1,) + (0,) * (N - h - 1)
+    for head in itertools.product(range(p), repeat=h - 2):
+        x0 = (0, lead) + head
+        y0 = _series(const, x0 + zeros, terms_of, ctx)
+        y1 = _series(const, x0 + step, terms_of, ctx)
+        yield x0, y0, _canonical([b - a for a, b in zip(y0, y1)], p, N)[h:]
+
+
+def _split_walk(const: int, lead: int, terms_of, ctx: Context):
+    """(x, y) for every x = (0, lead) + tail in increasing digit order, y the
+    canonical digits of const + the series terms_of at x, equal to _series's,
+    from each head of _heads: f(x) = f(x0) + sum(x[h+j] * pi^j * pi^h * d),
+    and pi^j * d is d moved up j digits.
 
     The N - h tail digits are walked as a trie, outermost first.  A node at
     depth j adds t * pi^j * d to its parent's raw vector and takes one divmod
@@ -279,19 +300,14 @@ def _split_walk(const: int, lead: int, terms_of, ctx: Context):
     at h + j + 1 and up and every carry moves p - 1 positions up, to
     h + j + p - 1, where it is pushed, or past N, where it is dropped.  So a
     raw vector holds only the positions still open, and a leaf's top digit is
-    (r + t * d[h]) mod p with r its parent's open raw digit.  The stack holds
+    (r + t * d[0]) mod p with r its parent's open raw digit.  The stack holds
     at most p open nodes per level: no head's units are ever held at once.
-    The two runs' plans stay on ctx.
     """
     p, N = ctx.p, ctx.precision
     h = (N + 1) // 2
     digits = [(t,) for t in range(p)]
     wrapped = digits * 2  # wrapped[r + s] == ((r + s) % p,) for r, s in [0, p)
-    for head in itertools.product(range(p), repeat=h - 2):
-        x0 = (0, lead) + head
-        y0 = _series(const, x0 + (0,) * (N - h), terms_of, ctx)
-        y1 = _series(const, x0 + (1,) + (0,) * (N - h - 1), terms_of, ctx)
-        d = _canonical([b - a for a, b in zip(y0, y1)], p, N)[h:]
+    for x0, y0, d in _heads(const, lead, terms_of, ctx):
         tops = [t * d[0] % p for t in range(p)]
         moved = [[t * c for c in d[1:]] for t in range(p)]  # t*d above a node's digit
         stack = [(x0, y0[:h], list(y0[h:]))]  # (x digits, final y digits, open raw)

@@ -1,23 +1,29 @@
 """Exhaustive finite-precision verification of the logarithm's image structure,
 with machine-readable reports.
 
-run_all enumerates the annulus units and the units of 1 + m_K^2 once each, on
-first use within the cap, into tables from log digits to unit digits that
-every exhaustive check reads.  A table takes its logs from series._split_walk,
-which runs plog's series only at the heads, the digits below h = ceil(N/2),
-and walks the affine tail past h as a trie with one divmod per node.
-square_isomorphism walks pexp's series over m_K^2 the same way and compares
-each back-value with the units the squares table holds at it, and
-residue_field runs plog on each of its p units.  The series' plans live on
-the Context, so a Context used again plans nothing again; no head run
-outlives the walk that made it.  So the exhaustive checks rest on the affine
-identity: a kernel fault that shows only where an input has nonzero digits at
-or past h never reaches a table, and the sampled checks, which run plog and
-pexp on whole random elements, are what see it.  An exhaustive check takes
-the run's tables or, called on its own, builds its own, and charges the cap
-before it touches a table.  One prefix test, digits 0 and 1 zero, decides
-membership in m_K^2, and every log passes it before pexp sees it.  Counts are
-exact and failures carry digit-string witnesses.
+The exhaustive checks count cosets, not units.  Past h = ceil(N/2) the log is
+affine (series._heads): the p^(N-h) units x0 + pi^h*tau of a head x0 have the
+logs y0 + pi^h*tau*d, which with d[0] = 1 fill the coset of y0's first h
+digits once each.  run_all takes the head rows (x0, y0, d) of the annulus
+and of 1 + m_K^2 on first use within the cap, two series runs per head, and
+annulus_image and full_image_and_index derive every count from the heads'
+prefixes times p^(N-h).  A slope with d[0] = 0, which only a fault gives,
+covers a smaller coset p^k times over, and is counted the same way, never
+raised.  square_isomorphism's round trip is affine on each head too, and two
+pexp runs per head decide it.  Witnesses are the first digit strings in
+increasing order, read off the lowest offending heads or prefixes.
+preimage_matches_fiber takes y's fiber size from the annulus prefixes and
+asks plog whether each constructed unit has log y, and residue_field runs
+plog on each of its p units.  The series' plans live on the Context, so a
+Context used again plans nothing again.  So the exhaustive checks rest on the
+affine identity: a kernel fault that shows only where an input has nonzero
+digits at or past h never reaches a head row, and the sampled checks, which
+run plog and pexp on whole random elements, are what see it.  An exhaustive
+check takes the run's head rows or, called on its own, makes its own, and
+charges the cap, which counts units, before any head runs.  One prefix test,
+digits 0 and 1 zero, decides membership in m_K^2, and every log passes it
+before pexp sees it.  Counts are exact and failures carry digit-string
+witnesses.
 
 run_all adds seeded property suites for the series and preimage modules.  Each
 sampled check is a stream of (ok, witnesses) trials counted by one tally,
@@ -33,6 +39,7 @@ digit2_formula and preimage_soundness charge p, p, p^2 and 20*(p-1) at any N.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -43,14 +50,14 @@ from dataclasses import dataclass, field
 
 from .errors import DEFAULT_CAP, CapExceeded, CyclologError, _enumeration_count, _require
 from .ring import Context, PiElement, format_digits
-from .series import _exp_terms, _log_terms, _split_walk, log_digit_formula, pexp, plog
+from .series import _heads, _log_terms, log_digit_formula, pexp, plog
 from .preimage import digit2_for_branch, preimage_all, qr_pair_enumeration, roots_of_unity
 
 _MAX_WITNESSES = 5
 _DIGIT2_PAIRS = 4096
 
-# plog digits -> digits of the enumerated units with that log
-_LogTable = dict[tuple[int, ...], list[tuple[int, ...]]]
+# one row per head of series._heads: (x0, y0, d)
+_HeadRow = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(slots=True)
@@ -81,120 +88,182 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _log_table(ctx: Context, leads) -> _LogTable:
-    """{plog digits: [unit digits]} over the units 1 + a1*pi + ... with a1 in
-    `leads`, in enumeration order, which is increasing digit order.  The logs
-    come from _split_walk, so the log series runs twice per head,
-    (p-1)*p^(h-2) heads for the annulus and p^(h-2) for 1 + m_K^2, instead of
-    once per unit."""
-    table: _LogTable = {}
-    for a1 in leads:
-        for x, lg in _split_walk(0, a1, _log_terms, ctx):
-            table.setdefault(lg, []).append((1,) + x[1:])
-    return table
+def _head_table(ctx: Context, leads) -> list[_HeadRow]:
+    """The log's head rows over the units 1 + a1*pi + ... with a1 in `leads`,
+    in increasing digit order: (p-1)*p^(h-2) heads for the annulus and
+    p^(h-2) for 1 + m_K^2, two series runs each."""
+    return [row for a1 in leads for row in _heads(0, a1, _log_terms, ctx)]
 
 
 @dataclass
-class _Tables:
-    """The exhaustive plog tables of one context, each built on first use."""
+class _HeadTables:
+    """The head rows of one context's exhaustive checks, each side made on first use."""
 
     ctx: Context
 
     @functools.cached_property
-    def annulus(self) -> _LogTable:
-        return _log_table(self.ctx, range(1, self.ctx.p))
+    def annulus(self) -> list[_HeadRow]:
+        return _head_table(self.ctx, range(1, self.ctx.p))
 
     @functools.cached_property
-    def squares(self) -> _LogTable:
-        return _log_table(self.ctx, (0,))
+    def squares(self) -> list[_HeadRow]:
+        return _head_table(self.ctx, (0,))
+
+
+def _fibers(p: int, *sides) -> tuple[int, collections.Counter]:
+    """(depth, {q: fiber}) over the head rows of `sides`: every log that
+    starts with the prefix q, of length depth, is the log of `fiber` units.
+
+    A head's p^(N-h) units x0 + pi^h*tau have the logs y0 + pi^h*tau*d.  With
+    k = v(d), N - h when d is 0, these are the logs that start with
+    y0[:h + k], each the log of p^k units; depth is the longest such prefix,
+    and a shorter one adds to each of its extensions.  A kernel that obeys
+    the affine identity has d[0] = 1, so k = 0 and depth = h; any other slope
+    comes from a fault, and is counted, not raised."""
+    cosets = []
+    for x0, y0, d in itertools.chain(*sides):
+        k = next((i for i, c in enumerate(d) if c), len(d))
+        cosets.append((y0[: len(x0) + k], p**k))
+    depth = max(len(prefix) for prefix, _ in cosets)
+    fibers = collections.Counter()
+    for prefix, units in cosets:
+        for rest in itertools.product(range(p), repeat=depth - len(prefix)):
+            fibers[prefix + rest] += units
+    return depth, fibers
 
 
 def _witnesses(digit_tuples) -> list[str]:
     return [",".join(map(str, d)) for d in sorted(digit_tuples)[:_MAX_WITNESSES]]
 
 
-def _image_mismatch(ctx: Context, image) -> tuple[set, set]:
-    """(image - m2, m2 - image) for m2 = m_K^2 mod pi^N, the p^(N-2) canonical
-    vectors that start with two zeros; image == m2 is the theorem's statement."""
-    tails = itertools.product(range(ctx.p), repeat=ctx.precision - 2)
-    outside = {d for d in image if d[0] or d[1]}
-    return outside, {m for m in ((0, 0) + tail for tail in tails) if m not in image}
+def _first_witnesses(prefixes, ctx: Context) -> list[str]:
+    """_witnesses of the digit vectors that start with one of `prefixes`,
+    which are disjoint and in increasing order, read off only as far as needed."""
+    p, n = ctx.p, ctx.precision
+    vectors = (q + t for q in prefixes for t in itertools.product(range(p), repeat=n - len(q)))
+    return _witnesses(itertools.islice(vectors, _MAX_WITNESSES))
+
+
+def _unit_count(prefixes, ctx: Context) -> int:
+    return sum(ctx.p ** (ctx.precision - len(q)) for q in prefixes)
 
 
 def check_annulus_image(
-    ctx: Context, cap: int = DEFAULT_CAP, tables: _Tables | None = None
+    ctx: Context, cap: int = DEFAULT_CAP, tables: _HeadTables | None = None
 ) -> CheckResult:
     """Logs of all units with nonzero digit 1 cover m_K^2 exactly, in fibers of p-1."""
     p, n = ctx.p, ctx.precision
     total = _enumeration_count(p - 1, p, n - 2, cap)
     _require(total, cap)
-    tables = _Tables(ctx) if tables is None else tables
-    fibers = tables.annulus
-    outside = [u for lg, units in fibers.items() if lg[0] or lg[1] for u in units]
+    tables = _HeadTables(ctx) if tables is None else tables
+    rows = tables.annulus
+    depth, fibers = _fibers(p, rows)
+    # a head's units share y0's digits 0 and 1, so they leave m_K^2 together
+    outside = [(1,) + x0[1:] for x0, y0, _ in rows if y0[0] or y0[1]]
     expected = p ** (n - 2)
-    sizes = [len(units) for units in fibers.values()]
-    min_fiber, max_fiber = min(sizes), max(sizes)
-    passed = not outside and len(fibers) == expected and min_fiber == max_fiber == p - 1
-    witnesses = _witnesses(outside)
+    images = len(fibers) * p ** (n - depth)
+    min_fiber, max_fiber = min(fibers.values()), max(fibers.values())
+    passed = not outside and images == expected and min_fiber == max_fiber == p - 1
+    witnesses = _first_witnesses(outside, ctx)
     if not passed and not witnesses:
-        witnesses = _witnesses(lg for lg, units in fibers.items() if len(units) != p - 1)
+        witnesses = _first_witnesses(sorted(q for q, f in fibers.items() if f != p - 1), ctx)
     counts = {
         "units": total,
-        "images": len(fibers),
+        "images": images,
         "expected_images": expected,
         "min_fiber": min_fiber,
         "max_fiber": max_fiber,
-        "outside_m_squared": len(outside),
+        "outside_m_squared": _unit_count(outside, ctx),
     }
     return CheckResult("annulus_image", passed, counts, witnesses)
 
 
+def _unrecovered(unit: tuple[int, ...], a: PiElement, b: PiElement, ctx: Context):
+    """The prefixes, in increasing order, of the units unit + pi^h*tau whose
+    round trip misses by a + tau*b != 0.  That reads tau only mod
+    pi^(N - v(b)), so each prefix is unit + those first digits of tau."""
+    p, n = ctx.p, ctx.precision
+    width = n - b.valuation()
+    for digits in itertools.product(range(p), repeat=width):
+        tau = PiElement._make(digits + (0,) * (n - width), ctx)
+        if not (a + tau * b).is_zero():
+            yield unit + digits
+
+
 def check_square_iso(
-    ctx: Context, cap: int = DEFAULT_CAP, tables: _Tables | None = None
+    ctx: Context, cap: int = DEFAULT_CAP, tables: _HeadTables | None = None
 ) -> CheckResult:
-    """plog restricted to 1 + m_K^2 is a bijection onto m_K^2 inverted by pexp."""
-    total = _enumeration_count(1, ctx.p, ctx.precision - 2, cap)
+    """plog restricted to 1 + m_K^2 is a bijection onto m_K^2 inverted by pexp.
+
+    On a head whose log prefix lies in m_K^2 the round trip is affine too:
+    pexp(y0 + pi^h*tau*d) = e0 + tau*(e1 - e0), with e0 and e1 pexp at
+    tau = 0 and 1, so the unit u0 + pi^h*tau comes back iff a + tau*b = 0,
+    a = e0 - u0 and b = e1 - e0 - pi^h.  Since v(b) >= h, that has
+    p^(v(b) - h) solutions tau mod pi^(N - h) if v(a) >= v(b), else none.
+    """
+    p, n = ctx.p, ctx.precision
+    total = _enumeration_count(1, p, n - 2, cap)
     _require(total, cap)
-    tables = _Tables(ctx) if tables is None else tables
-    images = tables.squares
-    outside = [u for lg, units in images.items() if lg[0] or lg[1] for u in units]
-    unrecovered = []
-    for y, back in _split_walk(1, 0, _exp_terms, ctx):
-        unrecovered += (u for u in images.get(y, ()) if u != back)
-    passed = not outside and not unrecovered and len(images) == total
+    tables = _HeadTables(ctx) if tables is None else tables
+    rows = tables.squares
+    depth, fibers = _fibers(p, rows)
+    images = len(fibers) * p ** (n - depth)
+    outside, failures, shown = [], 0, []  # shown: each offending head's unit prefixes
+    for x0, y0, d in rows:
+        h, unit = len(x0), (1,) + x0[1:]
+        if y0[0] or y0[1]:
+            outside.append(unit)
+            shown.append([unit])
+            continue
+        y = PiElement._make(y0, ctx)
+        e0 = pexp(y)
+        e1 = pexp(y + PiElement._make((0,) * h + d, ctx))
+        a = e0 - PiElement._make(unit + (0,) * (n - h), ctx)
+        b = e1 - e0 - ctx.one().mul_pi_power(h)
+        solutions = p ** (b.valuation() - h) if a.valuation() >= b.valuation() else 0
+        if solutions < p ** (n - h):
+            failures += p ** (n - h) - solutions
+            shown.append(_unrecovered(unit, a, b, ctx))
+    witnesses = _first_witnesses(itertools.chain.from_iterable(shown), ctx)
+    passed = not outside and not failures and images == total
     counts = {
         "units": total,
-        "images": len(images),
+        "images": images,
         "expected_images": total,
-        "roundtrip_failures": len(unrecovered),
-        "outside_m_squared": len(outside),
+        "roundtrip_failures": failures,
+        "outside_m_squared": _unit_count(outside, ctx),
     }
-    return CheckResult("square_isomorphism", passed, counts, _witnesses(outside + unrecovered))
+    return CheckResult("square_isomorphism", passed, counts, witnesses)
 
 
 def check_full_image_and_index(
-    ctx: Context, cap: int = DEFAULT_CAP, tables: _Tables | None = None
+    ctx: Context, cap: int = DEFAULT_CAP, tables: _HeadTables | None = None
 ) -> CheckResult:
     """log(1 + m_K) fills m_K^2, which sits at index exactly p inside m_K."""
     p, n = ctx.p, ctx.precision
     annulus_total = _enumeration_count(p - 1, p, n - 2, cap)
     square_total = _enumeration_count(1, p, n - 2, cap)
     _require(annulus_total + square_total, cap)
-    tables = _Tables(ctx) if tables is None else tables
-    union = tables.annulus.keys() | tables.squares.keys()
-    outside, missing = _image_mismatch(ctx, union)
-    index = p ** (n - 1) // len(union)
+    tables = _HeadTables(ctx) if tables is None else tables
+    depth, union = _fibers(p, tables.annulus, tables.squares)
+    size = p ** (n - depth)
+    outside = sorted(q for q in union if q[0] or q[1])
+    missing = p ** (depth - 2) - len(union) + len(outside)
+    index = p ** (n - 1) // (len(union) * size)
     passed = not outside and not missing and index == p
+    m_squared = ((0, 0) + rest for rest in itertools.product(range(p), repeat=depth - 2))
+    gaps = (q for q in m_squared if q not in union) if missing else ()
     counts = {
         "annulus_units": annulus_total,
         "square_units": square_total,
-        "union_images": len(union),
+        "union_images": len(union) * size,
         "m_squared_size": square_total,
         "maximal_ideal_size": p ** (n - 1),
         "index": index,
-        "closure_failures": len(missing),
+        "closure_failures": missing * size,
     }
-    return CheckResult("full_image_and_index", passed, counts, _witnesses(outside | missing))
+    witnesses = _first_witnesses(itertools.chain(gaps, outside), ctx)
+    return CheckResult("full_image_and_index", passed, counts, witnesses)
 
 
 def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
@@ -300,16 +369,20 @@ def _check_preimage_soundness(ctx: Context, rng: random.Random, cap: int) -> Che
 
 
 def _check_preimage_in_fiber(
-    ctx: Context, rng: random.Random, cap: int, tables: _Tables
+    ctx: Context, rng: random.Random, cap: int, tables: _HeadTables
 ) -> CheckResult:
+    """The constructed preimages of y are its whole fiber: as many distinct
+    units as the annulus prefixes give y, each in the annulus with plog y."""
     samples = 30
     _require(_enumeration_count(ctx.p - 1, ctx.p, ctx.precision - 2, cap), cap)
+    depth, fibers = _fibers(ctx.p, tables.annulus)
 
     def trial():
         y = _random_element(rng, ctx, (0, 0))
-        constructed = {u.digits for u in preimage_all(y)}
-        fiber = set(tables.annulus.get(y.digits, ()))
-        return constructed == fiber, [format_digits(y)]
+        units = preimage_all(y)
+        in_fiber = all(u.digits[1] and plog(u) == y for u in units)
+        ok = in_fiber and len({u.digits for u in units}) == fibers[y.digits[:depth]]
+        return ok, [format_digits(y)]
 
     return _tally("preimage_matches_fiber", {"targets": samples}, (trial() for _ in range(samples)))
 
@@ -359,7 +432,7 @@ def run_all(ctx: Context, seed: int = 0, cap: int = DEFAULT_CAP) -> Verification
     one raising another domain error an error marker; neither is raised."""
     seed = operator.index(seed)
     report = VerificationReport(ctx.p, ctx.precision)
-    tables = _Tables(ctx)
+    tables = _HeadTables(ctx)
     jobs = {
         "annulus_image": lambda rng: check_annulus_image(ctx, cap, tables),
         "square_isomorphism": lambda rng: check_square_iso(ctx, cap, tables),

@@ -1,7 +1,7 @@
 """A fault in verify's logs, injected where verify takes them: at verify.plog,
-which the sampled checks and check_residue_field call, and at
-verify._split_walk, which gives the exhaustive tables one log for each unit
-they enumerate."""
+which the sampled checks, preimage_matches_fiber and check_residue_field call,
+and at verify._heads, which gives the exhaustive checks the log at the two
+points of each head."""
 
 from __future__ import annotations
 
@@ -11,28 +11,60 @@ from cyclolog import verify
 
 def inject_log_fault(monkeypatch, fault) -> None:
     """Add fault(digits, ctx), an element or None, to the log of the unit with
-    those digits.  fault reads digits 1 on, which u and u - 1 share: the
-    exhaustive checks evaluate the log at the digits of u - 1.
+    those digits.  fault reads digits 1 on, which u and u - 1 share: the head
+    runs evaluate the log at the digits of u - 1.
 
-    The walk's head runs call series._series, which is left alone: they are
-    no unit's evaluation, so every table unit gets its fault once, from the
-    pair the walk yields for it, zero tail or not."""
-    real_plog, real_walk = verify.plog, verify._split_walk
+    A head row (x0, y0, d) takes the fault at both of its points, x0 + zeros
+    and x0 + pi^h, so y0 moves with the first and the slope d with the
+    difference.  A fault that is affine in the tail digits on each head, such
+    as one that reads only digits below h, moves every unit's log as plog
+    moves it; any other is seen differently by the two seams."""
+    real_plog, real_heads = verify.plog, verify._heads
 
     def plog(u):
-        y, error = real_plog(u), fault(u.digits, u.ctx)
-        return y if error is None else y + error
+        return real_plog(u) + _error(fault, u.digits, u.ctx)
 
-    def split_walk(const, lead, terms_of, ctx):
-        for x, y in real_walk(const, lead, terms_of, ctx):
-            error = fault(x, ctx) if terms_of is verify._log_terms else None
-            yield x, y if error is None else (PiElement(y, ctx) + error).digits
+    def heads(const, lead, terms_of, ctx):
+        n = ctx.precision
+        for x0, y0, d in real_heads(const, lead, terms_of, ctx):
+            if terms_of is verify._log_terms:
+                h, y = len(x0), PiElement(y0, ctx)
+                moved0 = y + _error(fault, x0 + (0,) * (n - h), ctx)
+                moved1 = y + PiElement((0,) * h + d, ctx) + _error(fault, x0 + (1,) + (0,) * (n - h - 1), ctx)
+                y0, d = moved0.digits, (moved1 - moved0).digits[h:]
+            yield x0, y0, d
 
     monkeypatch.setattr(verify, "plog", plog)
-    monkeypatch.setattr(verify, "_split_walk", split_walk)
+    monkeypatch.setattr(verify, "_heads", heads)
+
+
+def _error(fault, digits, ctx):
+    error = fault(digits, ctx)
+    return ctx.zero() if error is None else error
+
+
+def head_top(digits, ctx) -> int:
+    """Digit h - 1 of a unit, the top digit of its head, h = ceil(N/2)."""
+    return digits[(ctx.precision + 1) // 2 - 1]
+
+
+def tail(digits, ctx) -> PiElement:
+    """pi^h * tau, tau the unit's digits from h = ceil(N/2) on: affine in tau,
+    so plog and the head rows see a fault made of it alike."""
+    h = (ctx.precision + 1) // 2
+    return PiElement((0,) * h + tuple(digits[h:]), ctx)
 
 
 def golden_fault(digits, ctx):
-    """The fault of golden/verify_p5_n5_seed3_faulty_plog.json: the log off by
-    pi^(N-1) on every unit whose top digit is 1."""
+    """The fault of golden/verify_p5_n5_seed3_faulty_plog.json: the log minus
+    tail(digits) on every unit whose head ends in 1.  Those heads' slope d - 1
+    has digit 0 equal to 0, so their units' logs fall on a p-th of the coset,
+    each p times or more."""
+    return -tail(digits, ctx) if head_top(digits, ctx) == 1 else None
+
+
+def top_digit_fault(digits, ctx):
+    """The fault the failing golden held before the checks counted cosets: the
+    log off by pi^(N-1) on every unit whose top digit is 1.  No head point has
+    top digit 1, so only the checks that run plog on whole units see it."""
     return ctx.uniformizer().mul_pi_power(ctx.precision - 2) if digits[-1] == 1 else None

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cyclolog import Context, parse_digits, pexp, plog, preimage, roots_of_unity
+from cyclolog import Context, PiElement, parse_digits, pexp, plog, preimage, roots_of_unity, series
 from cyclolog.cli import main
 from cyclolog.verify import _random_element
 
@@ -42,6 +42,39 @@ class TestTwistRelations:
             assert plog(twist(a, u)) == twist(a, plog(u))
             assert pexp(twist(a, y)) == twist(a, pexp(y))
             assert preimage(twist(a, y), a * b % p) == twist(a, preimage(y, b))
+
+    @pytest.mark.parametrize(
+        "p,n,trials",
+        [(3, 64, 20), (7, 64, 20), (1009, 6, 8), (1048573, 16, 8), (3, 256, 2), (7, 256, 2)],
+    )
+    def test_log_and_exp_commute_with_twists_at_large_rows(self, p, n, trials):
+        ctx, rng = Context(p, n), random.Random(f"{p}:{n}:large")
+        for _ in range(trials):
+            a = rng.randrange(2, p)
+            u, y = _random_element(rng, ctx, (1,)), _random_element(rng, ctx, (0, 0))
+            assert plog(twist(a, u)) == twist(a, plog(u))
+            assert pexp(twist(a, y)) == twist(a, pexp(y))
+
+    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
+    def test_twists_map_lead_1_head_prefixes_onto_lead_a(self, p, n):
+        # sigma_a keeps pi^h * O, so it maps the head coset of x0 onto the one
+        # of sigma_a(x0), of lead a, and that head's log prefix is sigma_a's of
+        # y0's; every slope has digit h equal to 1
+        ctx, h = Context(p, n), (n + 1) // 2
+
+        def rows(lead):
+            return {x0: (y0[:h], d[0]) for x0, y0, d in series._heads(0, lead, series._log_terms, ctx)}
+
+        first = rows(1)
+        for a in range(2, p):
+            twisted = {
+                twist(a, PiElement(x0 + (0,) * (n - h), ctx)).digits[:h]: (
+                    twist(a, PiElement(y0 + (0,) * (n - h), ctx)).digits[:h], slope
+                )
+                for x0, (y0, slope) in first.items()
+            }
+            assert twisted == rows(a)
+            assert {slope for _, slope in twisted.values()} == {1}
 
     @pytest.mark.parametrize("p,n", ROWS)
     def test_roots_of_unity_are_the_twists_of_the_first(self, p, n):

@@ -25,10 +25,11 @@ from cyclolog import (
     run_all,
 )
 from cyclolog import cli, series, verify
-from cyclolog.verify import _image_mismatch
 
-from faults import golden_fault, inject_log_fault
+import oracle_tables
+from faults import golden_fault, head_top, inject_log_fault, tail, top_digit_fault
 from oracle_series import term_by_term_series
+from oracle_tables import image_mismatch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -79,17 +80,18 @@ class TestSquareIso:
             check_square_iso(Context(5, 6), cap=10)
 
     def test_a_log_outside_m_squared_is_counted_not_raised(self, monkeypatch):
-        # plog off by pi on the square units whose top digit is 1: a third of
-        # the logs leave m_K^2, and pexp must never see them
+        # plog off by pi on the square units whose digit h - 1 = 2 is 1, a
+        # digit of their head: a third of the logs leave m_K^2, and pexp must
+        # never see them
         def shifted(digits, ctx):
-            return ctx.uniformizer() if digits[1] == 0 and digits[-1] == 1 else None
+            return ctx.uniformizer() if digits[1] == 0 and digits[2] == 1 else None
 
         inject_log_fault(monkeypatch, shifted)
         result = check_square_iso(Context(3, 5))
         assert not result.passed
         assert result.counts["outside_m_squared"] == 9
         assert result.counts["roundtrip_failures"] == 0
-        moved = sorted((1, 0, a2, a3, 1) for a2 in range(3) for a3 in range(3))
+        moved = sorted((1, 0, 1, a3, a4) for a3 in range(3) for a4 in range(3))
         assert result.witnesses == [",".join(map(str, u)) for u in moved[:5]]
 
 
@@ -246,7 +248,7 @@ class TestRunAll:
         def dropping(ctx, v):
             return [t for t in log_terms(ctx, v) if t[0] != p]
 
-        # every plan of the log reads its terms here: plog's and the tables'
+        # every plan of the log reads its terms here: plog's and the head rows'
         monkeypatch.setattr(series, "_log_terms", dropping)
         monkeypatch.setattr(verify, "_log_terms", dropping)
         checks = {c.name: c for c in run_all(Context(p, n), seed=0).checks}
@@ -260,6 +262,20 @@ class TestRunAll:
             assert checks[name].witnesses[0].startswith("error: ValuationTooSmall")
         assert cli.main(["verify", "--p", str(p), "--prec", str(n)]) == 1
         assert capsys.readouterr().out.endswith("some checks FAILED\n")
+
+    @pytest.mark.parametrize("p,n", [(5, 5), (3, 8)])
+    def test_top_digit_fault_fails_the_checks_that_run_plog(self, p, n, monkeypatch):
+        # no head point has top digit 1, so the exhaustive checks pass; the
+        # checks that run plog on whole units see the fault
+        inject_log_fault(monkeypatch, top_digit_fault)
+        failed = {c.name for c in run_all(Context(p, n), seed=3).checks if not c.passed}
+        assert failed == {
+            "exp_log_roundtrip",
+            "log_homomorphism",
+            "lift_independence",
+            "preimage_soundness",
+            "preimage_matches_fiber",
+        }
 
     def test_p2_rejected_at_context(self):
         with pytest.raises(ValueError):
@@ -323,8 +339,8 @@ class TestGoldenReports:
 
     def test_failing_report_matches_golden(self, monkeypatch):
         # captured with one random stream per sampled check and a 2N lift pad,
-        # with plog off by pi^(N-1) on every unit whose top digit is 1; seven
-        # checks fail
+        # with faults.golden_fault, which collapses the slope of every head
+        # whose top digit is 1; seven checks fail
         inject_log_fault(monkeypatch, golden_fault)
         report = run_all(Context(5, 5), seed=3)
         assert sum(not c.passed for c in report.checks) == 7
@@ -343,17 +359,17 @@ class TestSharedTables:
 
     def test_each_table_is_built_once_per_run(self, monkeypatch):
         built = []
-        log_table = verify._log_table
+        head_table = verify._head_table
 
         def counting(ctx, leads):
             built.append(tuple(leads))
-            return log_table(ctx, leads)
+            return head_table(ctx, leads)
 
-        monkeypatch.setattr(verify, "_log_table", counting)
+        monkeypatch.setattr(verify, "_head_table", counting)
         run_all(Context(5, 4), seed=0)
         assert sorted(built) == [(0,), (1, 2, 3, 4)]
         built.clear()
-        tables = verify._Tables(Context(5, 4))
+        tables = verify._HeadTables(Context(5, 4))
         for check in (check_annulus_image, check_square_iso, check_full_image_and_index):
             assert check(tables.ctx, tables=tables).passed
         assert sorted(built) == [(0,), (1, 2, 3, 4)]
@@ -372,7 +388,7 @@ class TestSharedTables:
         assert run_all(Context(3, 6), seed=0).all_passed
         shared = [tables for recorded in calls.values() for tables in recorded]
         assert len(calls) == len(shared) == 3
-        assert isinstance(shared[0], verify._Tables)
+        assert isinstance(shared[0], verify._HeadTables)
         assert all(tables is shared[0] for tables in shared)
 
     @pytest.mark.parametrize(
@@ -382,7 +398,7 @@ class TestSharedTables:
         def no_table(ctx, leads):
             pytest.fail("a table was built before the cap was charged")
 
-        monkeypatch.setattr(verify, "_log_table", no_table)
+        monkeypatch.setattr(verify, "_head_table", no_table)
         with pytest.raises(CapExceeded) as info:
             check(Context(1048573, 720), cap=1)
         assert info.value.required > 10**18
@@ -464,22 +480,6 @@ def recording(monkeypatch, terms_of):
     return calls
 
 
-def walked(monkeypatch, terms_of):
-    """The (x, digits) pairs of every verify._split_walk with terms_of, in the
-    order the walks yield them."""
-    pairs = []
-    real = verify._split_walk
-
-    def record(const, lead, terms, ctx):
-        for x, y in real(const, lead, terms, ctx):
-            if terms is terms_of:
-                pairs.append((x, y))
-            yield x, y
-
-    monkeypatch.setattr(verify, "_split_walk", record)
-    return pairs
-
-
 def oracle_log(u):
     return PiElement(term_by_term_series(0, (0,) + u.digits[1:], series._log_terms, u.ctx), u.ctx)
 
@@ -489,7 +489,7 @@ def oracle_exp(y):
 
 
 class TestAffineTail:
-    # the identities the split tables rest on: for v(t) >= h = ceil(N/2),
+    # the identities the head rows rest on: for v(t) >= h = ceil(N/2),
     # log(u + t) = log u + t/u and exp(y + t) = exp(y)*(1 + t) mod pi^N
     ROWS = [(3, 4), (7, 4), (3, 7), (5, 7), (3, 8), (7, 6), (3, 10)]
 
@@ -506,7 +506,7 @@ class TestAffineTail:
 
     @pytest.mark.parametrize("p,n", ROWS)
     def test_one_digit_lower_the_log_is_not_affine(self, p, n):
-        # so a split one digit below ceil(N/2) would change the tables
+        # so a split one digit below ceil(N/2) would change the counts
         ctx, rng = Context(p, n), random.Random(f"{p}:{n}")
         h = (n + 1) // 2
         broken = 0
@@ -522,45 +522,68 @@ class TestPlannedTables:
     @pytest.mark.parametrize("p,n", PLANNED_ROWS)
     def test_tables_match_unit_by_unit_plog(self, p, n, monkeypatch):
         ctx = Context(p, n)
-        tables = verify._Tables(ctx)
-        # built before the patch: the walk's head runs call series._series
-        planned_tables = ((tables.annulus, range(1, p)), (tables.squares, (0,)))
+        tables = oracle_tables.Tables(ctx)
+        heads = verify._HeadTables(ctx)
+        # built before the patch: the head runs call series._series
+        planned_tables = ((tables.annulus, heads.annulus, range(1, p)), (tables.squares, heads.squares, (0,)))
         monkeypatch.setattr(series, "_series", term_by_term_series)
-        for planned, leads in planned_tables:
+        for planned, rows, leads in planned_tables:
             assert list(planned.items()) == list(unit_by_unit_table(ctx, leads).items())
+            # the head prefixes give every log's fiber size
+            depth, fibers = verify._fibers(p, rows)
+            assert depth == (n + 1) // 2
+            assert all(fibers[lg[:depth]] == len(units) for lg, units in planned.items())
 
     @pytest.mark.parametrize("p,n", PLANNED_ROWS)
     def test_square_iso_back_values_are_pexp(self, p, n, monkeypatch):
-        ctx = Context(p, n)
-        backs = walked(monkeypatch, verify._exp_terms)
+        # the check's two pexp runs per head, and the exp walk of the per-unit
+        # reference, give pexp's digits
+        ctx, h = Context(p, n), (n + 1) // 2
+        backs, real = [], verify.pexp
+
+        def record(y):
+            e = real(y)
+            backs.append((y.digits, e.digits))
+            return e
+
+        monkeypatch.setattr(verify, "pexp", record)
         assert check_square_iso(ctx).passed
-        assert len(backs) == p ** (n - 2)
-        assert [x for x, _ in backs] == sorted(_m_squared(ctx))
+        assert len(backs) == 2 * p ** (h - 2)
+        assert sorted({y[:h] for y, _ in backs}) == sorted({y[:h] for y in _m_squared(ctx)})
+        walk = list(series._split_walk(1, 0, series._exp_terms, ctx))
+        assert len(walk) == p ** (n - 2)
+        assert [x for x, _ in walk] == sorted(_m_squared(ctx))
         monkeypatch.setattr(series, "_series", term_by_term_series)
-        assert all(y == pexp(PiElement(x, ctx)).digits for x, y in backs)
+        assert all(e == pexp(PiElement(y, ctx)).digits for y, e in backs + walk)
 
     @pytest.mark.parametrize("p,n", [(3, 6), (5, 5), (3, 9)])
     def test_each_unit_gets_its_fault_once(self, p, n, monkeypatch):
-        # a head's run is no unit's log: a fault on the units whose tail is
-        # zero, which _split_walk reads off their head's run, moves those
-        # units' logs and no other
+        # the head seam takes the fault at the two points of each head, once
+        # each; a fault that reads only head digits then moves each unit's log
+        # in the per-unit tables exactly as plog's fault moves it
         ctx, h = Context(p, n), (n + 1) // 2
-        real = verify._Tables(ctx)
+        real = oracle_tables.Tables(ctx)
         real.annulus, real.squares
         seen = []
 
-        def on_zero_tails(digits, ctx):
-            seen.append((1,) + digits[1:])
-            return None if any(digits[h:]) else ctx.uniformizer().mul_pi_power(n - 2)
+        def on_head_digit(digits, ctx):
+            seen.append(digits)
+            return ctx.uniformizer().mul_pi_power(n - 2) if digits[h - 1] == 1 else None
 
-        inject_log_fault(monkeypatch, on_zero_tails)
-        faulted = verify._Tables(ctx)
+        inject_log_fault(monkeypatch, on_head_digit)
+        monkeypatch.setattr(series, "_heads", verify._heads)
+        faulted = oracle_tables.Tables(ctx)
         for table in ("annulus", "squares"):
             log_of = {u: lg for lg, units in getattr(real, table).items() for u in units}
             moved = {u for lg, units in getattr(faulted, table).items() for u in units if lg != log_of[u]}
-            assert moved == {u for u in log_of if not any(u[h:])}
-        units = [(1,) + rest for rest in itertools.product(range(p), repeat=n - 1)]
-        assert sorted(seen) == units
+            assert moved == {u for u in log_of if u[h - 1] == 1}
+        heads = [(0,) + rest for rest in itertools.product(range(p), repeat=h - 1)]
+        points = [x0 + (t,) + (0,) * (n - h - 1) for x0 in heads for t in (0, 1)]
+        assert sorted(seen) == sorted(points)
+        seen.clear()
+        u = PiElement((1, 1) + (1,) * (n - 2), ctx)
+        assert verify.plog(u) == plog(u) + ctx.uniformizer().mul_pi_power(n - 2)
+        assert seen == [u.digits]
 
     @pytest.mark.parametrize("p", [101, 1009])
     def test_residue_field_log_classes_are_plog(self, p, monkeypatch):
@@ -577,6 +600,86 @@ class TestPlannedTables:
         assert [u for u, _ in logs] == [(1, a1, 0, 0) for a1 in range(p)]
         monkeypatch.setattr(series, "_series", term_by_term_series)
         assert all(y == plog(PiElement(u, ctx)).digits for u, y in logs)
+
+
+HEAD_FAULTS = {
+    "golden": golden_fault,
+    # the logs of the heads that end in 1 leave m_K^2
+    "outside": lambda digits, ctx: ctx.uniformizer() if head_top(digits, ctx) == 1 else None,
+    # they move to another coset, or off m_K^2 where h = 2
+    "prefix": lambda digits, ctx: (
+        ctx.one().mul_pi_power((ctx.precision - 1) // 2) if head_top(digits, ctx) == 1 else None
+    ),
+    # their slope d + 1 has digit 0 equal to 2
+    "slope": lambda digits, ctx: tail(digits, ctx) if head_top(digits, ctx) == 1 else None,
+}
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args).to_dict()
+    except verify.CyclologError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestHeadLevelChecks:
+    # every count and witness of the checks that count cosets equals the
+    # per-unit reference's, with a correct kernel and with faulty ones
+    @staticmethod
+    def assert_matches_per_unit_tables(ctx):
+        heads, tables = verify._HeadTables(ctx), oracle_tables.Tables(ctx)
+        pairs = [
+            (check_annulus_image, oracle_tables.annulus_image),
+            (check_square_iso, oracle_tables.square_iso),
+            (check_full_image_and_index, oracle_tables.full_image_and_index),
+        ]
+        for check, reference in pairs:
+            assert _outcome(check, ctx, verify.DEFAULT_CAP, heads) == _outcome(reference, ctx, tables)
+        stream = "0:preimage_matches_fiber"
+        fiber = _outcome(
+            verify._check_preimage_in_fiber, ctx, random.Random(stream), verify.DEFAULT_CAP, heads
+        )
+        assert fiber == _outcome(oracle_tables.preimage_matches_fiber, ctx, random.Random(stream), tables)
+        return fiber
+
+    @pytest.mark.parametrize("fault", [None, *HEAD_FAULTS])
+    @pytest.mark.parametrize("p,n", PLANNED_ROWS)
+    def test_counts_and_witnesses_match_the_per_unit_tables(self, p, n, fault, monkeypatch):
+        if fault:
+            inject_log_fault(monkeypatch, HEAD_FAULTS[fault])
+            # the reference's walk reads the same faulted head rows
+            monkeypatch.setattr(series, "_heads", verify._heads)
+        self.assert_matches_per_unit_tables(Context(p, n))
+
+    @pytest.mark.parametrize("p,n", PLANNED_ROWS)
+    def test_counts_and_witnesses_match_under_the_fermat_fault(self, p, n, monkeypatch):
+        log_terms = series._log_terms
+
+        def dropping(ctx, v):
+            return [t for t in log_terms(ctx, v) if t[0] != p]
+
+        monkeypatch.setattr(series, "_log_terms", dropping)
+        monkeypatch.setattr(verify, "_log_terms", dropping)
+        fiber = self.assert_matches_per_unit_tables(Context(p, n))
+        assert fiber.startswith("ValuationTooSmall")
+
+    def test_faults_break_the_checks_they_aim_at(self, monkeypatch):
+        # so the comparison above runs on failing reports, not only passing ones
+        failed = {}
+        for name, fault in HEAD_FAULTS.items():
+            with monkeypatch.context() as patched:
+                inject_log_fault(patched, fault)
+                ctx, tables = Context(3, 8), verify._HeadTables(Context(3, 8))
+                checks = [check_annulus_image, check_square_iso, check_full_image_and_index]
+                failed[name] = {c.__name__ for c in checks if not c(ctx, tables=tables).passed}
+        # a moved prefix or a collapsed slope leaves the union covered at (3,8)
+        both = {"check_annulus_image", "check_square_iso"}
+        assert failed == {
+            "golden": both,
+            "outside": both | {"check_full_image_and_index"},
+            "prefix": both,
+            "slope": {"check_square_iso"},
+        }
 
 
 class TestSplitWalk:
@@ -632,7 +735,7 @@ class TestClosureCertificate:
         units = itertools.product(range(p), repeat=n - 1)
         image = {plog(PiElement((1,) + rest, ctx)).digits for rest in units}
         assert image == _m_squared(ctx)
-        assert _image_mismatch(ctx, image) == (set(), set())
+        assert image_mismatch(ctx, image) == (set(), set())
         assert _pairwise_closure_failures(image, ctx) == 0
 
     @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4)])
@@ -640,7 +743,7 @@ class TestClosureCertificate:
         ctx = Context(p, n)
         missing = (0, 0, 1) + (0,) * (n - 3)
         broken = _m_squared(ctx) - {missing}
-        assert _image_mismatch(ctx, broken) == (set(), {missing})
+        assert image_mismatch(ctx, broken) == (set(), {missing})
         assert _pairwise_closure_failures(broken, ctx) > 0
 
     @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4)])
@@ -648,7 +751,7 @@ class TestClosureCertificate:
         ctx = Context(p, n)
         pi = (0, 1) + (0,) * (n - 2)
         broken = _m_squared(ctx) | {pi}
-        assert _image_mismatch(ctx, broken) == ({pi}, set())
+        assert image_mismatch(ctx, broken) == ({pi}, set())
         assert _pairwise_closure_failures(broken, ctx) > 0
 
     def test_builds_no_copy_of_m_squared(self):
@@ -657,7 +760,7 @@ class TestClosureCertificate:
         m_squared = _m_squared(ctx)
         tracemalloc.start()
         try:
-            mismatch = _image_mismatch(ctx, m_squared)
+            mismatch = image_mismatch(ctx, m_squared)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -666,7 +769,7 @@ class TestClosureCertificate:
 
     def test_zero_is_required(self):
         ctx = Context(3, 5)
-        outside, missing = _image_mismatch(ctx, set())
+        outside, missing = image_mismatch(ctx, set())
         assert not outside and (0,) * 5 in missing and len(missing) == 27
 
     @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4)])
@@ -675,7 +778,7 @@ class TestClosureCertificate:
         ctx = Context(p, n)
         m_cubed = {d for d in _m_squared(ctx) if d[2] == 0}
         assert _pairwise_closure_failures(m_cubed, ctx) == 0
-        outside, missing = _image_mismatch(ctx, m_cubed)
+        outside, missing = image_mismatch(ctx, m_cubed)
         assert not outside and (0, 0, 1) + (0,) * (n - 3) in missing
         assert len(missing) == p ** (n - 2) - p ** (n - 3)
 
