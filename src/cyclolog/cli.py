@@ -11,6 +11,7 @@ closed early.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -23,7 +24,7 @@ from .errors import (
     _require,
 )
 from .ring import Context, PiElement, format_digits, parse_digits
-from .series import _exp_terms, _split_walk, pexp, plog
+from .series import _exp_terms, _heads, pexp, plog
 from .preimage import preimage, preimage_all, roots_of_unity
 
 
@@ -120,11 +121,17 @@ def _cmd_table(args, ctx: Context) -> int:
     targets_total = units_total // (p - 1)
     roots = roots_of_unity(ctx)
     # a fiber is a coset: branch b's unit z^b * exp(y) has leading digit b and
-    # log y, so it is preimage(y, b), the one such unit
-    for y, e in _split_walk(1, 0, _exp_terms, ctx):
-        unit = PiElement._make(e, ctx)
-        fiber = " ".join(format_digits(r * unit) for r in roots)
-        print(f"{format_digits(PiElement._make(y, ctx))}: {fiber}")
+    # log y, so it is preimage(y, b), the one such unit.  Past a head x0's h
+    # digits exp is affine (series._heads), so the target x0 + pi^h*tau has
+    # branch b's unit z^b * exp(x0) * (1 + pi^h*tau)
+    for x0, e0, _ in _heads(1, 0, _exp_terms, ctx):
+        h = len(x0)
+        fiber0 = [r * PiElement._make(e0, ctx) for r in roots]
+        one = (1,) + (0,) * (h - 1)  # digits 0..h-1 of 1 + pi^h*tau
+        for tau in itertools.product(range(p), repeat=n - h):
+            step = PiElement._make(one + tau, ctx)
+            fiber = " ".join(format_digits(u * step) for u in fiber0)
+            print(f"{format_digits(PiElement._make(x0 + tau, ctx))}: {fiber}")
     print(f"{units_total} units / {targets_total} targets")
     return 0
 

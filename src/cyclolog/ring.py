@@ -6,8 +6,7 @@ in [0, p), standing for sum(d_i * pi^i).  The single carry rule
 
     p * pi^j  =  -pi^(j + p - 1)
 
-is applied inside :func:`_canonical` and, one position per trie node, in the
-table command's walk series._split_walk; nothing else in the package ever
+is applied only inside :func:`_canonical`; nothing else in the package ever
 stores a digit outside [0, p).  Carries move strictly upward, so one pass in
 increasing position order canonicalizes any integer vector, and carries that
 land at or beyond the precision are exact multiples of pi^N and get dropped.

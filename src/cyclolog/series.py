@@ -26,15 +26,14 @@ this one calls it.
 _heads runs a series at the two points x0 and x0 + pi^h of every head x0,
 the digits below h = ceil(N/2) of x = (0, lead) + tail.  Past h the series
 is affine, so the two runs give it on all p^(N-h) points of the head: the
-verifier counts its exhaustive checks from these head rows, and
-_split_walk, for the cli's fiber table, walks each head's tail digits as a
-trie with one divmod per node.
+verifier counts its exhaustive checks from these head rows, and the cli's
+fiber table multiplies each head's exp by 1 + pi^h*tau, one ring product per
+point and root, so the carry rule stays in _canonical alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 
 from .errors import NotPrincipalUnit, ValuationTooSmall
 from .ring import Context, PiElement, PrincipalUnit, _canonical, _Frozen, _in_range, _pack, _unpack
@@ -277,6 +276,11 @@ def _heads(const: int, lead: int, terms_of, ctx: Context):
     f(x) = f(x0) + pi^h * tau * d, and as tau runs over the p^(N-h) tails,
     f(x) runs once over the coset f(x0)[:h] + pi^h * O.  The two runs'
     plans stay on ctx.
+
+    The verifier counts its exhaustive checks from the rows; the cli's table
+    reads y0 alone, as exp(x0 + pi^h * tau) = exp(x0) * (1 + pi^h * tau).
+    Each row is yielded once its two runs are done, so a caller holds one
+    head's row, never its p^(N-h) points.
     """
     p, N = ctx.p, ctx.precision
     h = (N + 1) // 2
@@ -286,44 +290,6 @@ def _heads(const: int, lead: int, terms_of, ctx: Context):
         y0 = _series(const, x0 + zeros, terms_of, ctx)
         y1 = _series(const, x0 + step, terms_of, ctx)
         yield x0, y0, _canonical([b - a for a, b in zip(y0, y1)], p, N)[h:]
-
-
-def _split_walk(const: int, lead: int, terms_of, ctx: Context):
-    """(x, y) for every x = (0, lead) + tail in increasing digit order, y the
-    canonical digits of const + the series terms_of at x, equal to _series's,
-    from each head of _heads: f(x) = f(x0) + sum(x[h+j] * pi^j * pi^h * d),
-    and pi^j * d is d moved up j digits.
-
-    The N - h tail digits are walked as a trie, outermost first.  A node at
-    depth j adds t * pi^j * d to its parent's raw vector and takes one divmod
-    at position h + j; that digit is final, since the deeper digits add only
-    at h + j + 1 and up and every carry moves p - 1 positions up, to
-    h + j + p - 1, where it is pushed, or past N, where it is dropped.  So a
-    raw vector holds only the positions still open, and a leaf's top digit is
-    (r + t * d[0]) mod p with r its parent's open raw digit.  The stack holds
-    at most p open nodes per level: no head's units are ever held at once.
-    """
-    p, N = ctx.p, ctx.precision
-    h = (N + 1) // 2
-    digits = [(t,) for t in range(p)]
-    wrapped = digits * 2  # wrapped[r + s] == ((r + s) % p,) for r, s in [0, p)
-    for x0, y0, d in _heads(const, lead, terms_of, ctx):
-        tops = [t * d[0] % p for t in range(p)]
-        moved = [[t * c for c in d[1:]] for t in range(p)]  # t*d above a node's digit
-        stack = [(x0, y0[:h], list(y0[h:]))]  # (x digits, final y digits, open raw)
-        while stack:
-            x, y, raw = stack.pop()
-            if len(raw) == 1:
-                leaf_tops = map(wrapped.__getitem__, map((raw[0] % p).__add__, tops))
-                yield from zip(map(x.__add__, digits), map(y.__add__, leaf_tops))
-                continue
-            rest = raw[1:]
-            for t in reversed(range(p)):
-                q, r = divmod(raw[0] + t * d[0], p)
-                child = list(map(operator.add, rest, moved[t]))
-                if p - 1 < len(raw):  # the carry lands p - 1 up, else past N
-                    child[p - 2] -= q
-                stack.append((x + digits[t], y + digits[r], child))
 
 
 def plog(u: PiElement) -> PiElement:

@@ -1,13 +1,14 @@
 """Per-unit reference for verify's exhaustive checks: one log per unit in a
-table, and pexp's walk over m_K^2 compared with the table unit by unit, as
-the checks ran before they counted cosets.
+table, and one pexp per unit of m_K^2 compared with the table unit by unit,
+as the checks ran before they counted cosets.
 
-log_table enumerates every unit of the given leads through
-series._split_walk, which builds each unit's log from the head rows of
-series._heads.  A test that routes series._heads through a faulted seam
-(faults.inject_log_fault, then series._heads = verify._heads) therefore sees
-each unit's log as that seam's head rows make it.  The checks below are
-verify's former bodies on these tables, cap charges left out.
+log_table evaluates every unit's log from the head rows of series._heads, as
+y0 + pi^h * tau * d in ring arithmetic for each tail tau of the head.  A test
+that routes series._heads through a faulted seam (faults.inject_log_fault,
+then series._heads = verify._heads) therefore sees each unit's log as that
+seam's head rows make it.  The exp side runs pexp on each unit, so it shares
+no affine step with the checks.  The checks below are verify's former bodies
+on these tables, cap charges left out.
 """
 
 from __future__ import annotations
@@ -15,18 +16,30 @@ from __future__ import annotations
 import functools
 import itertools
 
-from cyclolog import Context, format_digits, preimage_all, series
+from cyclolog import Context, PiElement, format_digits, pexp, preimage_all, series
 from cyclolog.verify import CheckResult, _random_element, _tally
 
 
 def log_table(ctx: Context, leads) -> dict:
     """{log digits: [unit digits]} over the units 1 + a1*pi + ... with a1 in
     `leads`, in enumeration order, which is increasing digit order."""
+    p, n = ctx.p, ctx.precision
     table = {}
     for a1 in leads:
-        for x, lg in series._split_walk(0, a1, series._log_terms, ctx):
-            table.setdefault(lg, []).append((1,) + x[1:])
+        for x0, y0, d in series._heads(0, a1, series._log_terms, ctx):
+            h = len(x0)
+            y, slope = PiElement._make(y0, ctx), PiElement._make((0,) * h + d, ctx)
+            for tau in itertools.product(range(p), repeat=n - h):
+                lg = y + slope * PiElement._make(tau + (0,) * h, ctx)
+                table.setdefault(lg.digits, []).append((1,) + x0[1:] + tau)
     return table
+
+
+def exp_values(ctx: Context):
+    """(y, pexp(y) digits) for every y in m_K^2, in increasing digit order."""
+    for tail in itertools.product(range(ctx.p), repeat=ctx.precision - 2):
+        y = (0, 0) + tail
+        yield y, pexp(PiElement._make(y, ctx)).digits
 
 
 class Tables:
@@ -83,7 +96,7 @@ def square_iso(ctx: Context, tables: Tables) -> CheckResult:
     images = tables.squares
     outside = [u for lg, units in images.items() if lg[0] or lg[1] for u in units]
     unrecovered = []
-    for y, back in series._split_walk(1, 0, series._exp_terms, ctx):
+    for y, back in exp_values(ctx):
         unrecovered += (u for u in images.get(y, ()) if u != back)
     passed = not outside and not unrecovered and len(images) == total
     counts = {

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cyclolog import Context, PiElement, format_digits, parse_digits, plog, preimage_all
-from cyclolog import cli
+from cyclolog import cli, series
 from cyclolog.cli import build_parser, main
 from cyclolog.errors import CapExceeded, CyclologError, DigitStringError
 
@@ -263,7 +263,7 @@ class TestGoldenOutput:
 
 def per_target_table(p, n):
     """The table as rendered with one preimage_all per target, the reference
-    for the coset walk."""
+    for the head rows' cosets."""
     ctx = Context(p, n)
     lines = []
     for tail in itertools.product(range(p), repeat=n - 2):
@@ -301,6 +301,22 @@ class TestTableCommand:
         assert out == (Path(__file__).parent / "golden" / "table_p5_n5.txt").read_text()
         assert calls == [((0,) * 5, 1)]
 
+    @pytest.mark.parametrize("p,n,runs", [(5, 6, 11), (3, 8, 19), (7, 5, 15), (13, 4, 3)])
+    def test_two_exp_runs_per_head_and_none_per_target(self, p, n, runs, capsys, monkeypatch):
+        # 2*p^(h-2) + 1: the two runs of each head, and the one pexp inside
+        # roots_of_unity; the p^(N-h) targets of a head take ring products only
+        calls, real = [], series._series
+
+        def counting(const, x, terms_of, ctx):
+            calls.append(terms_of)
+            return real(const, x, terms_of, ctx)
+
+        monkeypatch.setattr(series, "_series", counting)
+        code, out, _ = run_cli(["table", "--p", str(p), "--prec", str(n)], capsys)
+        assert code == 0
+        assert out.endswith(f" units / {p ** (n - 2)} targets\n")
+        assert calls.count(series._exp_terms) == runs == 2 * p ** ((n + 1) // 2 - 2) + 1
+
     def test_p3_prec4(self, capsys):
         code, out, _ = run_cli(["table", "--p", "3", "--prec", "4"], capsys)
         assert code == 0
@@ -334,12 +350,12 @@ class TestTableCommand:
 
     def test_astronomical_count_exits_4(self, capsys, monkeypatch):
         # (p-1)*p^(N-2) has over 4300 digits, too many for str() of the exact count;
-        # the cap is charged before the roots or the walk run
+        # the cap is charged before the roots or the head rows run
         def refused(*args):
             raise AssertionError("table ran before charging the cap")
 
         monkeypatch.setattr(cli, "roots_of_unity", refused)
-        monkeypatch.setattr(cli, "_split_walk", refused)
+        monkeypatch.setattr(cli, "_heads", refused)
         code, out, err = run_cli(["table", "--p", "1048573", "--prec", "720"], capsys)
         assert code == 4 and not out
         assert err.startswith("error: enumeration of ") and "exceeds cap" in err

@@ -465,21 +465,6 @@ def unit_by_unit_table(ctx, leads):
 PLANNED_ROWS = [(3, 6), (3, 8), (3, 9), (3, 10), (5, 6), (5, 7), (7, 5), (11, 4), (13, 5)]
 
 
-def recording(monkeypatch, terms_of):
-    """The (x, digits) of every call of series._series with terms_of, in order."""
-    calls = []
-    real = series._series
-
-    def record(const, x, terms, ctx):
-        y = real(const, x, terms, ctx)
-        if terms is terms_of:
-            calls.append((x, y))
-        return y
-
-    monkeypatch.setattr(series, "_series", record)
-    return calls
-
-
 def oracle_log(u):
     return PiElement(term_by_term_series(0, (0,) + u.digits[1:], series._log_terms, u.ctx), u.ctx)
 
@@ -536,8 +521,8 @@ class TestPlannedTables:
 
     @pytest.mark.parametrize("p,n", PLANNED_ROWS)
     def test_square_iso_back_values_are_pexp(self, p, n, monkeypatch):
-        # the check's two pexp runs per head, and the exp walk of the per-unit
-        # reference, give pexp's digits
+        # the check's two pexp runs per head, and the per-unit reference's one
+        # pexp per unit, give the term-by-term series' digits
         ctx, h = Context(p, n), (n + 1) // 2
         backs, real = [], verify.pexp
 
@@ -550,11 +535,11 @@ class TestPlannedTables:
         assert check_square_iso(ctx).passed
         assert len(backs) == 2 * p ** (h - 2)
         assert sorted({y[:h] for y, _ in backs}) == sorted({y[:h] for y in _m_squared(ctx)})
-        walk = list(series._split_walk(1, 0, series._exp_terms, ctx))
-        assert len(walk) == p ** (n - 2)
-        assert [x for x, _ in walk] == sorted(_m_squared(ctx))
+        reference = list(oracle_tables.exp_values(ctx))
+        assert len(reference) == p ** (n - 2)
+        assert [y for y, _ in reference] == sorted(_m_squared(ctx))
         monkeypatch.setattr(series, "_series", term_by_term_series)
-        assert all(e == pexp(PiElement(y, ctx)).digits for y, e in backs + walk)
+        assert all(e == pexp(PiElement(y, ctx)).digits for y, e in backs + reference)
 
     @pytest.mark.parametrize("p,n", [(3, 6), (5, 5), (3, 9)])
     def test_each_unit_gets_its_fault_once(self, p, n, monkeypatch):
@@ -647,7 +632,7 @@ class TestHeadLevelChecks:
     def test_counts_and_witnesses_match_the_per_unit_tables(self, p, n, fault, monkeypatch):
         if fault:
             inject_log_fault(monkeypatch, HEAD_FAULTS[fault])
-            # the reference's walk reads the same faulted head rows
+            # the reference's log table reads the same faulted head rows
             monkeypatch.setattr(series, "_heads", verify._heads)
         self.assert_matches_per_unit_tables(Context(p, n))
 
@@ -680,37 +665,6 @@ class TestHeadLevelChecks:
             "prefix": both,
             "slope": {"check_square_iso"},
         }
-
-
-class TestSplitWalk:
-    # the walk runs the series twice per head, never once per unit, and
-    # yields a head's first units before it has walked the rest
-    @pytest.mark.parametrize("p,n", PLANNED_ROWS)
-    def test_two_series_runs_per_head(self, p, n, monkeypatch):
-        ctx, h = Context(p, n), (n + 1) // 2
-        for const, lead, terms in ((0, 1, series._log_terms), (1, 0, series._exp_terms)):
-            runs = recording(monkeypatch, terms)
-            units = sum(1 for _ in series._split_walk(const, lead, terms, ctx))
-            assert units == p ** (n - 2)
-            assert len(runs) == 2 * p ** (h - 2)
-            assert {x[h:] for x, _ in runs} == {(0,) * (n - h), (1,) + (0,) * (n - h - 1)}
-
-    def test_first_units_need_one_head_and_no_buffer(self, monkeypatch):
-        # at N = 4 the one head of a lead has p^2 = 1018081 units
-        ctx = Context(1009, 4)
-        runs = recording(monkeypatch, series._log_terms)
-        tracemalloc.start()
-        try:
-            walk = series._split_walk(0, 1, series._log_terms, ctx)
-            first = list(itertools.islice(walk, 5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(runs) == 2
-        assert peak < 4 * 1024 * 1024
-        assert [x for x, _ in first] == [(0, 1, 0, t) for t in range(5)]
-        for x, y in first:
-            assert y == term_by_term_series(0, x, series._log_terms, ctx)
 
 
 def _pairwise_closure_failures(members, ctx):
