@@ -124,7 +124,7 @@ def _cmd_table(args, ctx: Context) -> int:
     # log y, so it is preimage(y, b), the one such unit.  Past a head x0's h
     # digits exp is affine (series._heads), so the target x0 + pi^h*tau has
     # branch b's unit z^b * exp(x0) * (1 + pi^h*tau)
-    for x0, e0, _ in _heads(1, 0, _exp_terms, ctx):
+    for x0, e0, _ in _heads(0, _exp_terms, ctx):
         h = len(x0)
         fiber0 = [r * PiElement._make(e0, ctx) for r in roots]
         one = (1,) + (0,) * (h - 1)  # digits 0..h-1 of 1 + pi^h*tau

@@ -11,17 +11,18 @@ Three facts keep the powers cheap.  Each w^n is formed only to the digits a
 later term reads, need[i] = max(N - s_j for j >= i).  The powers and the sum
 stay packed as 64-bit limbs with a bound on each, and an operand is carried
 only when a limb could reach 2**64; a carried operand times w always fits.  And
-where N - s <= p - 1, p = 0 mod pi^(N-s), so the term lives
-in F_p[pi]; for p | n, Frobenius collapses w^n to the integer w_0^n mod p,
-and the term is one digit at position s.  When N <= p - 1 and v = 1 that is
-the term n = p, x^p/p = -pi * w^p: digit 1 of the log is a1 - a1^p = 0,
-the Fermat cancellation that puts the image in m^2.
+a term whose w^n mod pi^(N-s) is the integer w_0^n forms no power: it is the
+one digit c * w_0^n at position s.  That is exp's constant 1, its term n = 0,
+and every term with p | n and N - s <= p - 1, where p = 0 mod pi^(N-s), the
+term lives in F_p[pi], and Frobenius collapses w^n to w_0^n mod p.  When
+N <= p - 1 and v = 1 that is the term n = p, x^p/p = -pi * w^p: digit 1 of
+the log is a1 - a1^p = 0, the Fermat cancellation that puts the image in m^2.
 
 No choice above reads a digit of w: _schedule makes them all once per plan,
 from (terms, p, N) and bounds, and _run carries the plan out for any w.
-_series, the one way in for plog, pexp and _heads, plans each series once
-per valuation and Context, and keeps the plan on the Context; no module but
-this one calls it.
+_series, the one way in for plog, pexp and _heads, takes x and the series
+alone, plans each series once per valuation and Context, and keeps the plan
+on the Context; no module but this one calls it.
 
 _heads runs a series at the two points x0 and x0 + pi^h of every head x0,
 the digits below h = ceil(N/2) of x = (0, lead) + tail.  Past h the series
@@ -103,7 +104,7 @@ def _inverse_modulus(ctx: Context) -> int:
 
 
 _LIMB = 1 << 64  # every limb of a packed value stays below this
-_FROBENIUS, _JOIN, _CARRY_JOIN, _RAW = "frobenius", "join", "carry-then-join", "raw"
+_JOIN, _CARRY_JOIN, _RAW = "join", "carry-then-join", "raw"
 
 
 def _carry(x: int, p: int, n: int) -> int:
@@ -132,14 +133,15 @@ def _log_terms(ctx: Context, v: int) -> list[tuple[int, int, int]]:
 
 
 def _exp_terms(ctx: Context, v: int) -> list[tuple[int, int, int]]:
-    """pexp's terms (n, s, c) at valuation v, sorted by n.
+    """pexp's terms (n, s, c) at valuation v, sorted by n, from the constant
+    (0, 0, 1) on.
 
     With n! = p**k * m, x^n/n! has c = (-1)^k/m and s = n*v - (p-1)*k, which
     Legendre's formula makes n*(v-1) + s_p(n) > n, so only n < N contribute.
     """
     p, N = ctx.p, ctx.precision
     modulus = _inverse_modulus(ctx)
-    terms = []
+    terms = [(0, 0, 1)]
     k, m = 0, 1  # n! = p**k * m with m coprime to p
     for n in range(1, N):
         j = n
@@ -152,23 +154,28 @@ def _exp_terms(ctx: Context, v: int) -> list[tuple[int, int, int]]:
     return terms
 
 
-def _schedule(terms: list[tuple[int, int, int]], p: int, N: int) -> tuple[int, list[tuple]]:
-    """The plan (most, steps) of const + sum(c * pi^s * w^n for n, s, c in
-    terms), with terms sorted by n and every c >= 0, for any w.
+def _schedule(terms: list[tuple[int, int, int]], p: int, N: int) -> tuple[list[tuple], list[tuple]]:
+    """The plan (digits, steps) of sum(c * pi^s * w^n for n, s, c in terms),
+    with terms sorted by n and every c >= 0, for any w.
 
-    A term reads only N - s digits of w^n, so w^n is formed mod pi^length
-    with length = max(N - s_j) over the terms from it on: the lengths never
-    grow, and the next power is this one times w, once per step of n, at
-    the same length.  w is packed once, to `most` digits, and the powers
-    stay packed and uncarried with a bound on their limbs.  Each term is a
-    step (kind, n, s, c, length, mask, carries): mask covers `length` limbs,
-    and carries holds one flag per product by w before the term, true where
-    the power is carried first because a limb of the product could reach
-    2**64.  The bounds fix one of four kinds per term:
+    A digit record (n, s, c) is a term whose w^n mod pi^(N-s) is the integer
+    w_0^n, so it forms no power: exp's constant n = 0, and every term with
+    p | n and N - s <= p - 1.  There p is 0 mod pi^(N-s) and w^n is taken in
+    F_p[pi].  For n = p^k * m with k >= 1, Frobenius makes w^n = (w^m)^(p^k)
+    the sum of b_i^(p^k) * pi^(i*p^k) over the digits b_i of w^m; pi^(p^k)
+    vanishes, so w^n = b_0^(p^k) = w_0^n mod p.  That spares about p products
+    per n = p term at p near 2**20.
 
-    - "frobenius", where N - s <= p - 1 and p | n, length 0: the single
-      digit c * w_0^n mod p at position s, with no power formed, which
-      spares about p products per n = p term at p near 2**20;
+    Every other term is a step of the product chain.  A term reads only N - s
+    digits of w^n, so w^n is formed mod pi^length with length = max(N - s_j)
+    over the steps from it on: the lengths never grow, so w is packed once, to
+    the first step's length, and the next power is this one times w, once per
+    step of n, at the same length.  The powers stay packed and uncarried with
+    a bound on their limbs.  A step is (kind, s, c, length, mask, carries):
+    mask covers `length` limbs, and carries holds one flag per product by w
+    before the term, true where the power is carried first because a limb of
+    the product could reach 2**64.  The bounds fix one of three kinds per step:
+
     - "join": c*w^n shifted into the packed total, while total's bound
       plus c times the power's bound stays below 2**64, on nearly every term;
     - "carry-then-join", where only the power's uncarried bound is too
@@ -176,26 +183,14 @@ def _schedule(terms: list[tuple[int, int, int]], p: int, N: int) -> tuple[int, l
     - "raw", where even a carried power would take total's bound to 2**64
       (c near p**(N/(p-1)) at p = 3): the power's limbs are added into an
       integer vector, the one place exact for any c.
-
-    Where N - s <= p - 1, p is 0 mod pi^(N-s) and w^n is taken in F_p[pi].
-    For n = p^k * m with k >= 1, Frobenius makes w^n = (w^m)^(p^k) the sum of
-    b_i^(p^k) * pi^(i*p^k) over the digits b_i of w^m; pi^(p^k) vanishes, so
-    w^n = b_0^(p^k) = w_0^n mod p.
     """
-    need, most = [], 0  # need 0 marks a Frobenius digit
-    for n, s, _ in reversed(terms):
-        if N - s < p and n % p == 0:
-            need.append(0)
-        else:
-            if N - s > most:
-                most = N - s
-            need.append(most)
+    digits, chain = [], []
+    for n, s, c in terms:
+        (digits if n % p == 0 and (not n or N - s < p) else chain).append((n, s, c))
+    lengths = [*itertools.accumulate((N - s for _, s, _ in reversed(chain)), max)]
     top = p - 1  # the limb bound of canonical digits
     steps, bound, pb, done = [], 0, top, 1  # pb bounds the limbs of w^done
-    for (n, s, c), length in zip(terms, reversed(need)):
-        if not length:
-            steps.append((_FROBENIUS, n, s, c, 0, 0, ()))
-            continue
+    for (n, s, c), length in zip(chain, reversed(lengths)):
         carries, grow = [], length * top
         while done < n:
             # a limb of power*w sums length limb products; carried, it fits (ring.P_CAP)
@@ -209,27 +204,27 @@ def _schedule(terms: list[tuple[int, int, int]], p: int, N: int) -> tuple[int, l
             kind, pb, bound = _CARRY_JOIN, top, bound + c * top
         else:
             kind = _RAW
-        steps.append((kind, n, s, c, length, (1 << 64 * length) - 1, carries))
-    return most, steps
+        steps.append((kind, s, c, length, (1 << 64 * length) - 1, carries))
+    return digits, steps
 
 
-def _run(const: int, wd: tuple[int, ...], schedule: tuple, p: int, N: int) -> tuple[int, ...]:
+def _run(wd: tuple[int, ...], plan: tuple, p: int, N: int) -> tuple[int, ...]:
     """Canonical digits of the sum a _schedule plans, at w with digits wd.
 
-    The sum is an integer vector raw, plus a packed integer total whose limb
-    s + j holds c*d for each digit d of w^n, j < N - s; one _canonical call
-    carries raw + total.  The digits match a term-by-term ring sum:
-    _canonical canonicalizes any integer vector exactly, and
+    Each digit record adds c * w_0^n mod p at position s of an integer vector
+    raw.  The steps add to raw, or to a packed integer total whose limb s + j
+    holds c*d for each digit d of w^n, j < N - s; one _canonical call carries
+    raw + total.  The digits match a term-by-term ring sum: _canonical
+    canonicalizes any integer vector exactly, and
     pi^s * (c*w^n mod pi^N) = c*pi^s*w^n mod pi^N.
     """
-    most, steps = schedule
-    raw = [const] + [0] * (N - 1)
+    digits, steps = plan
+    raw = [0] * N
+    for n, s, c in digits:
+        raw[s] += c * pow(wd[0], n, p)
     total = 0
-    packed_w = power = _pack(wd, most)  # packed w^n, n the last term's
-    for kind, n, s, c, length, mask, carries in steps:
-        if kind is _FROBENIUS:
-            raw[s] += c * pow(wd[0], n, p)
-            continue
+    packed_w = power = _pack(wd, steps[0][3] if steps else 0)  # packed w^n, n the last step's
+    for kind, s, c, length, mask, carries in steps:
         for carry in carries:
             if carry:
                 power = _carry(power, p, length)
@@ -245,9 +240,9 @@ def _run(const: int, wd: tuple[int, ...], schedule: tuple, p: int, N: int) -> tu
     return _canonical(raw, p, N)
 
 
-def _series(const: int, x: tuple[int, ...], terms_of, ctx: Context) -> tuple[int, ...]:
-    """Canonical digits of const + the series terms_of (_log_terms or _exp_terms)
-    at the digits x: _run of x / pi^v, v the valuation of x, on the plan of
+def _series(x: tuple[int, ...], terms_of, ctx: Context) -> tuple[int, ...]:
+    """Canonical digits of the series terms_of (_log_terms or _exp_terms) at
+    the digits x: _run of x / pi^v, v the valuation of x, on the plan of
     (terms_of, v) that is scheduled into ctx._plans on first use.  So ctx plans
     each series once per valuation: at most 2N - 1 plans, as v runs over
     1..N for the log and 2..N for exp (v = N at x = 0)."""
@@ -257,13 +252,13 @@ def _series(const: int, x: tuple[int, ...], terms_of, ctx: Context) -> tuple[int
         v += 1
     if (terms_of, v) not in ctx._plans:
         ctx._plans[terms_of, v] = _schedule(terms_of(ctx, v), p, N)
-    return _run(const, x[v:] + (0,) * v, ctx._plans[terms_of, v], p, N)
+    return _run(x[v:] + (0,) * v, ctx._plans[terms_of, v], p, N)
 
 
-def _heads(const: int, lead: int, terms_of, ctx: Context):
+def _heads(lead: int, terms_of, ctx: Context):
     """(x0, y0, d) for every head x0 = (0, lead) + digits 2..h-1, h = ceil(N/2),
-    in increasing digit order: y0 the canonical digits of const + the series
-    terms_of at x0 + zeros, and d the N - h digits from h on of
+    in increasing digit order: y0 the canonical digits of the series terms_of
+    at x0 + zeros, and d the N - h digits from h on of
     f(x0 + pi^h) - f(x0), from the two _series runs the head takes.
 
     Past h the series f is affine.  For v(t) >= h and N >= 4, mod pi^N,
@@ -287,8 +282,8 @@ def _heads(const: int, lead: int, terms_of, ctx: Context):
     zeros, step = (0,) * (N - h), (1,) + (0,) * (N - h - 1)
     for head in itertools.product(range(p), repeat=h - 2):
         x0 = (0, lead) + head
-        y0 = _series(const, x0 + zeros, terms_of, ctx)
-        y1 = _series(const, x0 + step, terms_of, ctx)
+        y0 = _series(x0 + zeros, terms_of, ctx)
+        y1 = _series(x0 + step, terms_of, ctx)
         yield x0, y0, _canonical([b - a for a, b in zip(y0, y1)], p, N)[h:]
 
 
@@ -297,7 +292,7 @@ def plog(u: PiElement) -> PiElement:
     if u.digits[0] != 1:
         raise NotPrincipalUnit(f"digit 0 is {u.digits[0]}, expected 1")
     # (0,) + digits 1 on is u - 1, already canonical
-    return PiElement._make(_series(0, (0,) + u.digits[1:], _log_terms, u.ctx), u.ctx)
+    return PiElement._make(_series((0,) + u.digits[1:], _log_terms, u.ctx), u.ctx)
 
 
 def pexp(x: PiElement) -> PrincipalUnit:
@@ -305,7 +300,7 @@ def pexp(x: PiElement) -> PrincipalUnit:
     v = x.valuation()
     if v < 2:
         raise ValuationTooSmall(f"valuation {v} < 2, outside the convergence domain")
-    return PrincipalUnit._make(_series(1, x.digits, _exp_terms, x.ctx), x.ctx)
+    return PrincipalUnit._make(_series(x.digits, _exp_terms, x.ctx), x.ctx)
 
 
 def log_digit_formula(a1: int, a2: int, ctx: Context) -> int:

@@ -92,7 +92,7 @@ def _head_table(ctx: Context, leads) -> list[_HeadRow]:
     """The log's head rows over the units 1 + a1*pi + ... with a1 in `leads`,
     in increasing digit order: (p-1)*p^(h-2) heads for the annulus and
     p^(h-2) for 1 + m_K^2, two series runs each."""
-    return [row for a1 in leads for row in _heads(0, a1, _log_terms, ctx)]
+    return [row for a1 in leads for row in _heads(a1, _log_terms, ctx)]
 
 
 @dataclass

@@ -24,9 +24,9 @@ def inject_log_fault(monkeypatch, fault) -> None:
     def plog(u):
         return real_plog(u) + _error(fault, u.digits, u.ctx)
 
-    def heads(const, lead, terms_of, ctx):
+    def heads(lead, terms_of, ctx):
         n = ctx.precision
-        for x0, y0, d in real_heads(const, lead, terms_of, ctx):
+        for x0, y0, d in real_heads(lead, terms_of, ctx):
             if terms_of is verify._log_terms:
                 h, y = len(x0), PiElement(y0, ctx)
                 moved0 = y + _error(fault, x0 + (0,) * (n - h), ctx)

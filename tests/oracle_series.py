@@ -46,10 +46,11 @@ def naive_plog(u: PiElement, extra: int | None = None) -> PiElement:
     return acc.resize(target)
 
 
-def term_by_term_sum(const: int, w: PiElement, terms) -> PiElement:
-    """const + sum(c * pi^s * w^n for n, s, c in terms), one ring op at a time."""
-    acc = w.ctx.from_integer(const)
-    power, done = w, 1
+def term_by_term_sum(w: PiElement, terms) -> PiElement:
+    """sum(c * pi^s * w^n for n, s, c in terms), one ring op at a time; the
+    power starts at w^0 = 1, so a term n = 0 adds c."""
+    acc = w.ctx.zero()
+    power, done = w.ctx.one(), 0
     for n, s, c in terms:
         if n > done:
             power = power * (w if n == done + 1 else w ** (n - done))
@@ -58,12 +59,12 @@ def term_by_term_sum(const: int, w: PiElement, terms) -> PiElement:
     return acc
 
 
-def term_by_term_series(const: int, x, terms_of, ctx: Context) -> tuple[int, ...]:
-    """Digits of const + the series terms_of at x, summed by term_by_term_sum
+def term_by_term_series(x, terms_of, ctx: Context) -> tuple[int, ...]:
+    """Digits of the series terms_of at x, summed by term_by_term_sum
     at x / pi^v for v the valuation of x; it neither reads nor fills ctx's plans."""
     element = PiElement(x, ctx)
     v = element.valuation()
-    return term_by_term_sum(const, element.div_pi_power(v), terms_of(ctx, v)).digits
+    return term_by_term_sum(element.div_pi_power(v), terms_of(ctx, v)).digits
 
 
 def _reduce_pow(i: int, p: int) -> tuple[Fraction, int]:

@@ -26,7 +26,7 @@ def log_table(ctx: Context, leads) -> dict:
     p, n = ctx.p, ctx.precision
     table = {}
     for a1 in leads:
-        for x0, y0, d in series._heads(0, a1, series._log_terms, ctx):
+        for x0, y0, d in series._heads(a1, series._log_terms, ctx):
             h = len(x0)
             y, slope = PiElement._make(y0, ctx), PiElement._make((0,) * h + d, ctx)
             for tau in itertools.product(range(p), repeat=n - h):

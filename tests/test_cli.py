@@ -307,9 +307,9 @@ class TestTableCommand:
         # roots_of_unity; the p^(N-h) targets of a head take ring products only
         calls, real = [], series._series
 
-        def counting(const, x, terms_of, ctx):
+        def counting(x, terms_of, ctx):
             calls.append(terms_of)
-            return real(const, x, terms_of, ctx)
+            return real(x, terms_of, ctx)
 
         monkeypatch.setattr(series, "_series", counting)
         code, out, _ = run_cli(["table", "--p", str(p), "--prec", str(n)], capsys)

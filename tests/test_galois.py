@@ -63,7 +63,7 @@ class TestTwistRelations:
         ctx, h = Context(p, n), (n + 1) // 2
 
         def rows(lead):
-            return {x0: (y0[:h], d[0]) for x0, y0, d in series._heads(0, lead, series._log_terms, ctx)}
+            return {x0: (y0[:h], d[0]) for x0, y0, d in series._heads(lead, series._log_terms, ctx)}
 
         first = rows(1)
         for a in range(2, p):

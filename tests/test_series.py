@@ -269,14 +269,14 @@ class TestShortcutsMatchTermByTermSum:
         frobenius, lone = [], []
         real_series = series._series
 
-        def recording(const, x, terms_of, ctx):
+        def recording(x, terms_of, ctx):
             def planned(ctx, v):
                 terms = terms_of(ctx, v)
-                frobenius.extend(n - s < p and m % p == 0 for m, s, _ in terms)
+                frobenius.extend(n - s < p and m > 0 and m % p == 0 for m, s, _ in terms)
                 lone.append(len(terms) == 1 and terms[0][0] == 1)
                 return terms
 
-            return real_series(const, x, planned, ctx)
+            return real_series(x, planned, ctx)
 
         monkeypatch.setattr(series, "_series", recording)
         got = [(plog(u), pexp(x) if x.valuation() >= 2 else None) for u, x in cases]
@@ -290,16 +290,16 @@ class TestShortcutsMatchTermByTermSum:
 def product_lengths(schedule):
     """The length of each product by w that a schedule forms, in order."""
     _, steps = schedule
-    return [length for _, _, _, _, length, _, carries in steps for _ in carries]
+    return [length for _, _, _, length, _, carries in steps for _ in carries]
 
 
 class TestSeriesKernelLengths:
     @pytest.mark.parametrize("p,n", [(101, 32), (1048573, 16)])
     def test_no_product_for_the_p_th_term(self, p, n):
         # v = 1 plans n = 1 .. N-1 at s = n, and n = p at s = 1, a Frobenius
-        # digit; w^n for n >= 2 is one product at N - n digits
+        # digit record; w^n for n >= 2 is one product at N - n digits
         schedule = _schedule(_log_terms(Context(p, n), 1), p, n)
-        assert [step[:5] for step in schedule[1] if step[1] == p] == [("frobenius", p, 1, p - 1, 0)]
+        assert schedule[0] == [(p, 1, p - 1)]
         assert product_lengths(schedule) == list(range(n - 2, 0, -1))
 
     def test_lengths_never_grow_within_a_call(self):
@@ -319,7 +319,10 @@ class TestStepKinds:
         # at (7,256) most coefficients are too large for the packed sum
         kinds = {}
         for p, n in [(101, 32), (7, 256)]:
-            for kind, *_ in _schedule(_log_terms(Context(p, n), 1), p, n)[1]:
+            digits, steps = _schedule(_log_terms(Context(p, n), 1), p, n)
+            if any(m == p for m, _, _ in digits):
+                kinds.setdefault("frobenius", (p, n))
+            for kind, *_ in steps:
                 kinds.setdefault(kind, (p, n))
         assert kinds == {
             "join": (101, 32),
@@ -337,9 +340,21 @@ class TestStepKinds:
         assert any(step[0] == "raw" for step in schedule[1])
         # the top digit of w is never read; all p - 1 makes every limb its largest
         for w in ((rng.randrange(1, p),) + tuple(rng.randrange(p) for _ in range(n - 1)), (p - 1,) * n):
-            got = _run(0, w, schedule, p, n)
-            assert got == term_by_term_sum(0, PiElement(w, ctx), terms).digits
+            got = _run(w, schedule, p, n)
+            assert got == term_by_term_sum(PiElement(w, ctx), terms).digits
             assert got == poly_log_digits((1,) + w[:-1], p, n)
+
+
+class TestConstantTerm:
+    # exp's 1 is its term n = 0, a digit record like the Frobenius digits; at
+    # x = 0, v = N, it is all the exp plan holds, and the log plans nothing
+    @pytest.mark.parametrize("p,n", [(3, 8), (101, 32), (1048573, 16)])
+    def test_exp_of_zero_and_log_of_one(self, p, n):
+        ctx = Context(p, n)
+        assert pexp(ctx.zero()).digits == ctx.one().digits
+        assert plog(ctx.one()).digits == ctx.zero().digits
+        assert ctx._plans[_exp_terms, n] == ([(0, 0, 1)], [])
+        assert ctx._plans[_log_terms, n] == ([], [])
 
 
 def count_calls(monkeypatch, name):
@@ -364,15 +379,15 @@ class TestCarryRule:
         w = (p - 1,) * n
         carried = 0  # powers carried before a product or before joining the sum
         for v in (1, 2, 3):
-            for const, terms_of in ((0, _log_terms), (1, _exp_terms)):
+            for terms_of in (_log_terms, _exp_terms):
                 if terms_of is _exp_terms and v < 2:
                     continue
                 terms = terms_of(ctx, v)
                 schedule = _schedule(terms, p, n)
                 for kind, *_, carries in schedule[1]:
                     carried += sum(carries) + (kind == "carry-then-join")
-                want = term_by_term_sum(const, PiElement(w, ctx), terms).digits
-                assert _run(const, w, schedule, p, n) == want, (terms_of.__name__, v)
+                want = term_by_term_sum(PiElement(w, ctx), terms).digits
+                assert _run(w, schedule, p, n) == want, (terms_of.__name__, v)
         assert carried
 
     @pytest.mark.parametrize("p,n", [(1048573, 16), (3, 64)])
@@ -393,7 +408,7 @@ class TestCarryRule:
         u, _ = units_of_valuation(random.Random(29), Context(p, n), 1)
         sums = count_calls(monkeypatch, "_series")
         got = plog(u)
-        (_, x, terms_of, ctx), = sums
+        (x, terms_of, ctx), = sums
         terms = terms_of(ctx, PiElement(x, ctx).valuation())
         assert any(c * (p - 1) >= 1 << 64 for m, _, c in terms if m > 1)
         monkeypatch.setattr(series, "_series", term_by_term_series)
@@ -445,11 +460,11 @@ class TestCharacteristicPOracle:
         assert plog(u).digits == charp_log_digits(u.digits, p)
         real_series = series._series
 
-        def dropping(const, x, terms_of, ctx):
+        def dropping(x, terms_of, ctx):
             def planned(ctx, v):
                 return [t for t in terms_of(ctx, v) if t[0] != p]
 
-            return real_series(const, x, planned, ctx)
+            return real_series(x, planned, ctx)
 
         monkeypatch.setattr(series, "_series", dropping)
         assert plog(u).digits != charp_log_digits(u.digits, p)
@@ -537,10 +552,10 @@ def series_runs(monkeypatch, terms_of):
     runs = []
     real = series._series
 
-    def record(const, x, terms, ctx):
+    def record(x, terms, ctx):
         if terms is terms_of:
             runs.append(x)
-        return real(const, x, terms, ctx)
+        return real(x, terms, ctx)
 
     monkeypatch.setattr(series, "_series", record)
     return runs
@@ -555,12 +570,12 @@ class TestHeads:
     def test_two_series_runs_per_head(self, p, n, monkeypatch):
         ctx, h = Context(p, n), (n + 1) // 2
         points = ((0,) * (n - h), (1,) + (0,) * (n - h - 1))  # x0 + 0 and x0 + pi^h
-        for const, lead, terms in ((0, 1, _log_terms), (1, 0, _exp_terms)):
+        for lead, terms in ((1, _log_terms), (0, _exp_terms)):
             runs = series_runs(monkeypatch, terms)
-            rows = list(series._heads(const, lead, terms, ctx))
+            rows = list(series._heads(lead, terms, ctx))
             assert runs == [x0 + point for x0, _, _ in rows for point in points]
             for x0, y0, d in rows[:3]:
-                assert y0 == term_by_term_series(const, x0 + points[0], terms, ctx)
+                assert y0 == term_by_term_series(x0 + points[0], terms, ctx)
                 assert d[0] == 1
             monkeypatch.undo()
 
@@ -568,7 +583,7 @@ class TestHeads:
     def test_rows_per_lead_in_increasing_digit_order(self, p, n):
         ctx, h = Context(p, n), (n + 1) // 2
         for lead in range(p):
-            heads = [x0 for x0, _, _ in series._heads(0, lead, _log_terms, ctx)]
+            heads = [x0 for x0, _, _ in series._heads(lead, _log_terms, ctx)]
             assert heads == [(0, lead) + rest for rest in itertools.product(range(p), repeat=h - 2)]
 
     def test_first_row_needs_two_runs_and_no_buffer(self, monkeypatch):
@@ -579,14 +594,14 @@ class TestHeads:
             runs = series_runs(monkeypatch, _log_terms)
             tracemalloc.start()
             try:
-                x0, y0, d = next(series._heads(0, 1, _log_terms, ctx))
+                x0, y0, d = next(series._heads(1, _log_terms, ctx))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert len(runs) == 2
             assert peak < 4 * 1024 * 1024
             assert x0 == (0, 1) + (0,) * (len(x0) - 2) and d[0] == 1
-            assert y0 == term_by_term_series(0, runs[0], _log_terms, ctx)
+            assert y0 == term_by_term_series(runs[0], _log_terms, ctx)
             monkeypatch.undo()
 
 

@@ -466,11 +466,11 @@ PLANNED_ROWS = [(3, 6), (3, 8), (3, 9), (3, 10), (5, 6), (5, 7), (7, 5), (11, 4)
 
 
 def oracle_log(u):
-    return PiElement(term_by_term_series(0, (0,) + u.digits[1:], series._log_terms, u.ctx), u.ctx)
+    return PiElement(term_by_term_series((0,) + u.digits[1:], series._log_terms, u.ctx), u.ctx)
 
 
 def oracle_exp(y):
-    return PiElement(term_by_term_series(1, y.digits, series._exp_terms, y.ctx), y.ctx)
+    return PiElement(term_by_term_series(y.digits, series._exp_terms, y.ctx), y.ctx)
 
 
 class TestAffineTail:
