@@ -24,7 +24,7 @@ from .errors import (
     _require,
 )
 from .ring import Context, PiElement, format_digits, parse_digits
-from .series import _exp_terms, _heads, pexp, plog
+from .series import pexp, plog
 from .preimage import preimage, preimage_all, roots_of_unity
 
 
@@ -120,14 +120,17 @@ def _cmd_table(args, ctx: Context) -> int:
     _require(units_total, args.cap)
     targets_total = units_total // (p - 1)
     roots = roots_of_unity(ctx)
+    h = (n + 1) // 2
+    zeros, one = (0,) * (n - h), (1,) + (0,) * (h - 1)  # one: digits 0..h-1 of 1 + pi^h*tau
     # a fiber is a coset: branch b's unit z^b * exp(y) has leading digit b and
-    # log y, so it is preimage(y, b), the one such unit.  Past a head x0's h
-    # digits exp is affine (series._heads), so the target x0 + pi^h*tau has
-    # branch b's unit z^b * exp(x0) * (1 + pi^h*tau)
-    for x0, e0, _ in _heads(0, _exp_terms, ctx):
-        h = len(x0)
-        fiber0 = [r * PiElement._make(e0, ctx) for r in roots]
-        one = (1,) + (0,) * (h - 1)  # digits 0..h-1 of 1 + pi^h*tau
+    # log y, so it is preimage(y, b), the one such unit.  Past a head x0's
+    # h = ceil(N/2) digits exp is affine, exp(y + t) = exp(y)*(1 + t) mod pi^N
+    # for v(t) >= h, so the target x0 + pi^h*tau has branch b's unit
+    # z^b * exp(x0) * (1 + pi^h*tau)
+    for head in itertools.product(range(p), repeat=h - 2):
+        x0 = (0, 0) + head
+        e0 = pexp(PiElement._make(x0 + zeros, ctx))
+        fiber0 = [r * e0 for r in roots]
         for tau in itertools.product(range(p), repeat=n - h):
             step = PiElement._make(one + tau, ctx)
             fiber = " ".join(format_digits(u * step) for u in fiber0)

@@ -20,16 +20,9 @@ the log is a1 - a1^p = 0, the Fermat cancellation that puts the image in m^2.
 
 No choice above reads a digit of w: _schedule makes them all once per plan,
 from (terms, p, N) and bounds, and _run carries the plan out for any w.
-_series, the one way in for plog, pexp and _heads, takes x and the series
-alone, plans each series once per valuation and Context, and keeps the plan
-on the Context; no module but this one calls it.
-
-_heads runs a series at the two points x0 and x0 + pi^h of every head x0,
-the digits below h = ceil(N/2) of x = (0, lead) + tail.  Past h the series
-is affine, so the two runs give it on all p^(N-h) points of the head: the
-verifier counts its exhaustive checks from these head rows, and the cli's
-fiber table multiplies each head's exp by 1 + pi^h*tau, one ring product per
-point and root, so the carry rule stays in _canonical alone.
+_series, the one way in for plog and pexp, takes x and the series alone,
+plans each series once per valuation and Context, and keeps the plan on the
+Context; no module but this one calls it.
 """
 
 from __future__ import annotations
@@ -253,38 +246,6 @@ def _series(x: tuple[int, ...], terms_of, ctx: Context) -> tuple[int, ...]:
     if (terms_of, v) not in ctx._plans:
         ctx._plans[terms_of, v] = _schedule(terms_of(ctx, v), p, N)
     return _run(x[v:] + (0,) * v, ctx._plans[terms_of, v], p, N)
-
-
-def _heads(lead: int, terms_of, ctx: Context):
-    """(x0, y0, d) for every head x0 = (0, lead) + digits 2..h-1, h = ceil(N/2),
-    in increasing digit order: y0 the canonical digits of the series terms_of
-    at x0 + zeros, and d the N - h digits from h on of
-    f(x0 + pi^h) - f(x0), from the two _series runs the head takes.
-
-    Past h the series f is affine.  For v(t) >= h and N >= 4, mod pi^N,
-    log(u + t) = log u + t*u^-1 and exp(y + t) = exp(y)*(1 + t): a term of
-    degree n >= 2 of log(1 + z) or exp(z) with v(z) >= h has valuation at
-    least 2h >= N for n = 2 and n*h - (n - 1) >= N for n >= 3.  So
-    f(x0 + pi^h) - f(x0) = pi^h * f'(x0), with f' the unit (1 + x0)^-1 for
-    the log and exp(x0) for exp, which is 1 mod pi: its digits below h are
-    zero and digit h is 1, so d[0] = 1.  Every x = x0 + pi^h * tau then has
-    f(x) = f(x0) + pi^h * tau * d, and as tau runs over the p^(N-h) tails,
-    f(x) runs once over the coset f(x0)[:h] + pi^h * O.  The two runs'
-    plans stay on ctx.
-
-    The verifier counts its exhaustive checks from the rows; the cli's table
-    reads y0 alone, as exp(x0 + pi^h * tau) = exp(x0) * (1 + pi^h * tau).
-    Each row is yielded once its two runs are done, so a caller holds one
-    head's row, never its p^(N-h) points.
-    """
-    p, N = ctx.p, ctx.precision
-    h = (N + 1) // 2
-    zeros, step = (0,) * (N - h), (1,) + (0,) * (N - h - 1)
-    for head in itertools.product(range(p), repeat=h - 2):
-        x0 = (0, lead) + head
-        y0 = _series(x0 + zeros, terms_of, ctx)
-        y1 = _series(x0 + step, terms_of, ctx)
-        yield x0, y0, _canonical([b - a for a, b in zip(y0, y1)], p, N)[h:]
 
 
 def plog(u: PiElement) -> PiElement:

@@ -2,10 +2,10 @@
 with machine-readable reports.
 
 The exhaustive checks count cosets, not units.  Past h = ceil(N/2) the log is
-affine (series._heads): the p^(N-h) units x0 + pi^h*tau of a head x0 have the
+affine (_head_table): the p^(N-h) units x0 + pi^h*tau of a head x0 have the
 logs y0 + pi^h*tau*d, which with d[0] = 1 fill the coset of y0's first h
 digits once each.  run_all takes the head rows (x0, y0, d) of the annulus
-and of 1 + m_K^2 on first use within the cap, two series runs per head, and
+and of 1 + m_K^2 on first use within the cap, two plog runs per head, and
 annulus_image and full_image_and_index derive every count from the heads'
 prefixes times p^(N-h).  A slope with d[0] = 0, which only a fault gives,
 covers a smaller coset p^k times over, and is counted the same way, never
@@ -50,13 +50,13 @@ from dataclasses import dataclass, field
 
 from .errors import DEFAULT_CAP, CapExceeded, CyclologError, _enumeration_count, _require
 from .ring import Context, PiElement, format_digits
-from .series import _heads, _log_terms, log_digit_formula, pexp, plog
+from .series import log_digit_formula, pexp, plog
 from .preimage import digit2_for_branch, preimage_all, qr_pair_enumeration, roots_of_unity
 
 _MAX_WITNESSES = 5
 _DIGIT2_PAIRS = 4096
 
-# one row per head of series._heads: (x0, y0, d)
+# one row per head of _head_table: (x0, y0, d)
 _HeadRow = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
@@ -89,10 +89,30 @@ class VerificationReport:
 
 
 def _head_table(ctx: Context, leads) -> list[_HeadRow]:
-    """The log's head rows over the units 1 + a1*pi + ... with a1 in `leads`,
-    in increasing digit order: (p-1)*p^(h-2) heads for the annulus and
-    p^(h-2) for 1 + m_K^2, two series runs each."""
-    return [row for a1 in leads for row in _heads(a1, _log_terms, ctx)]
+    """The log's head rows (x0, y0, d) over the units 1 + a1*pi + ... with a1
+    in `leads`, in increasing digit order: (p-1)*p^(h-2) heads for the
+    annulus and p^(h-2) for 1 + m_K^2, two plog runs each.
+
+    A head x0 is the digits below h = ceil(N/2) of its units, and y0 is the
+    log of u0 = x0 + zeros.  Past h the log is affine: for v(t) >= h and
+    N >= 4, log(u + t) = log u + t*u^-1 mod pi^N, as a term of degree n >= 2
+    of log(1 + t*u^-1) has valuation at least 2h >= N for n = 2 and
+    n*h - (n - 1) >= N for n >= 3.  So log(u0 + pi^h) - y0 = pi^h * u0^-1,
+    whose digits below h are zero, and d, its N - h digits from h on, has
+    d[0] = 1 as u0^-1 = 1 mod pi.  Every unit x0 + pi^h*tau then has the log
+    y0 + pi^h*tau*d, and as tau runs over the p^(N-h) tails its logs run once
+    over the coset y0[:h] + pi^h*O."""
+    p, n = ctx.p, ctx.precision
+    h = (n + 1) // 2
+    zeros, step = (0,) * (n - h), (1,) + (0,) * (n - h - 1)
+    rows = []
+    for a1 in leads:
+        for head in itertools.product(range(p), repeat=h - 2):
+            x0 = (1, a1) + head
+            y0 = plog(PiElement._make(x0 + zeros, ctx))
+            y1 = plog(PiElement._make(x0 + step, ctx))
+            rows.append((x0, y0.digits, (y1 - y0).digits[h:]))
+    return rows
 
 
 @dataclass
@@ -159,7 +179,7 @@ def check_annulus_image(
     rows = tables.annulus
     depth, fibers = _fibers(p, rows)
     # a head's units share y0's digits 0 and 1, so they leave m_K^2 together
-    outside = [(1,) + x0[1:] for x0, y0, _ in rows if y0[0] or y0[1]]
+    outside = [x0 for x0, y0, _ in rows if y0[0] or y0[1]]
     expected = p ** (n - 2)
     images = len(fibers) * p ** (n - depth)
     min_fiber, max_fiber = min(fibers.values()), max(fibers.values())
@@ -210,20 +230,20 @@ def check_square_iso(
     images = len(fibers) * p ** (n - depth)
     outside, failures, shown = [], 0, []  # shown: each offending head's unit prefixes
     for x0, y0, d in rows:
-        h, unit = len(x0), (1,) + x0[1:]
+        h = len(x0)
         if y0[0] or y0[1]:
-            outside.append(unit)
-            shown.append([unit])
+            outside.append(x0)
+            shown.append([x0])
             continue
         y = PiElement._make(y0, ctx)
         e0 = pexp(y)
         e1 = pexp(y + PiElement._make((0,) * h + d, ctx))
-        a = e0 - PiElement._make(unit + (0,) * (n - h), ctx)
+        a = e0 - PiElement._make(x0 + (0,) * (n - h), ctx)
         b = e1 - e0 - ctx.one().mul_pi_power(h)
         solutions = p ** (b.valuation() - h) if a.valuation() >= b.valuation() else 0
         if solutions < p ** (n - h):
             failures += p ** (n - h) - solutions
-            shown.append(_unrecovered(unit, a, b, ctx))
+            shown.append(_unrecovered(x0, a, b, ctx))
     witnesses = _first_witnesses(itertools.chain.from_iterable(shown), ctx)
     passed = not outside and not failures and images == total
     counts = {

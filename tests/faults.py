@@ -1,7 +1,7 @@
 """A fault in verify's logs, injected where verify takes them: at verify.plog,
 which the sampled checks, preimage_matches_fiber and check_residue_field call,
-and at verify._heads, which gives the exhaustive checks the log at the two
-points of each head."""
+and through which verify._head_table gives the exhaustive checks the log at
+the two points of each head."""
 
 from __future__ import annotations
 
@@ -11,31 +11,20 @@ from cyclolog import verify
 
 def inject_log_fault(monkeypatch, fault) -> None:
     """Add fault(digits, ctx), an element or None, to the log of the unit with
-    those digits.  fault reads digits 1 on, which u and u - 1 share: the head
-    runs evaluate the log at the digits of u - 1.
+    those digits.
 
     A head row (x0, y0, d) takes the fault at both of its points, x0 + zeros
     and x0 + pi^h, so y0 moves with the first and the slope d with the
     difference.  A fault that is affine in the tail digits on each head, such
-    as one that reads only digits below h, moves every unit's log as plog
-    moves it; any other is seen differently by the two seams."""
-    real_plog, real_heads = verify.plog, verify._heads
+    as one that reads only digits below h, moves every unit's log in the
+    head rows as it moves that unit's plog; any other is seen differently by
+    the exhaustive checks and the checks that run plog on whole units."""
+    real_plog = verify.plog
 
     def plog(u):
         return real_plog(u) + _error(fault, u.digits, u.ctx)
 
-    def heads(lead, terms_of, ctx):
-        n = ctx.precision
-        for x0, y0, d in real_heads(lead, terms_of, ctx):
-            if terms_of is verify._log_terms:
-                h, y = len(x0), PiElement(y0, ctx)
-                moved0 = y + _error(fault, x0 + (0,) * (n - h), ctx)
-                moved1 = y + PiElement((0,) * h + d, ctx) + _error(fault, x0 + (1,) + (0,) * (n - h - 1), ctx)
-                y0, d = moved0.digits, (moved1 - moved0).digits[h:]
-            yield x0, y0, d
-
     monkeypatch.setattr(verify, "plog", plog)
-    monkeypatch.setattr(verify, "_heads", heads)
 
 
 def _error(fault, digits, ctx):

@@ -2,13 +2,12 @@
 table, and one pexp per unit of m_K^2 compared with the table unit by unit,
 as the checks ran before they counted cosets.
 
-log_table evaluates every unit's log from the head rows of series._heads, as
-y0 + pi^h * tau * d in ring arithmetic for each tail tau of the head.  A test
-that routes series._heads through a faulted seam (faults.inject_log_fault,
-then series._heads = verify._heads) therefore sees each unit's log as that
-seam's head rows make it.  The exp side runs pexp on each unit, so it shares
-no affine step with the checks.  The checks below are verify's former bodies
-on these tables, cap charges left out.
+log_table evaluates every unit's log from the head rows of verify._head_table,
+as y0 + pi^h * tau * d in ring arithmetic for each tail tau of the head.  The
+head rows run verify.plog, so a test that faults it (faults.inject_log_fault)
+sees each unit's log as the faulted head rows make it.  The exp side runs pexp
+on each unit, so it shares no affine step with the checks.  The checks below
+are verify's former bodies on these tables, cap charges left out.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from cyclolog import Context, PiElement, format_digits, pexp, preimage_all, series
-from cyclolog.verify import CheckResult, _random_element, _tally
+from cyclolog import Context, PiElement, format_digits, pexp, preimage_all
+from cyclolog.verify import CheckResult, _head_table, _random_element, _tally
 
 
 def log_table(ctx: Context, leads) -> dict:
@@ -25,13 +24,12 @@ def log_table(ctx: Context, leads) -> dict:
     `leads`, in enumeration order, which is increasing digit order."""
     p, n = ctx.p, ctx.precision
     table = {}
-    for a1 in leads:
-        for x0, y0, d in series._heads(a1, series._log_terms, ctx):
-            h = len(x0)
-            y, slope = PiElement._make(y0, ctx), PiElement._make((0,) * h + d, ctx)
-            for tau in itertools.product(range(p), repeat=n - h):
-                lg = y + slope * PiElement._make(tau + (0,) * h, ctx)
-                table.setdefault(lg.digits, []).append((1,) + x0[1:] + tau)
+    for x0, y0, d in _head_table(ctx, leads):
+        h = len(x0)
+        y, slope = PiElement._make(y0, ctx), PiElement._make((0,) * h + d, ctx)
+        for tau in itertools.product(range(p), repeat=n - h):
+            lg = y + slope * PiElement._make(tau + (0,) * h, ctx)
+            table.setdefault(lg.digits, []).append(x0 + tau)
     return table
 
 

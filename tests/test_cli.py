@@ -4,11 +4,20 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from cyclolog import Context, PiElement, format_digits, parse_digits, plog, preimage_all
+from cyclolog import (
+    Context,
+    PiElement,
+    format_digits,
+    parse_digits,
+    plog,
+    preimage_all,
+    roots_of_unity,
+)
 from cyclolog import cli, series
 from cyclolog.cli import build_parser, main
 from cyclolog.errors import CapExceeded, CyclologError, DigitStringError
@@ -273,6 +282,19 @@ def per_target_table(p, n):
     return "".join(lines)
 
 
+def exp_runs(monkeypatch):
+    """The x of every exp series run, in order."""
+    runs, real = [], series._series
+
+    def record(x, terms_of, ctx):
+        if terms_of is series._exp_terms:
+            runs.append(x)
+        return real(x, terms_of, ctx)
+
+    monkeypatch.setattr(series, "_series", record)
+    return runs
+
+
 class TestTableCommand:
     @pytest.mark.parametrize("p,n", [(3, 6), (3, 8), (5, 5), (5, 6), (7, 5), (13, 4), (11, 5)])
     def test_matches_per_target_preimages(self, p, n, capsys):
@@ -301,21 +323,45 @@ class TestTableCommand:
         assert out == (Path(__file__).parent / "golden" / "table_p5_n5.txt").read_text()
         assert calls == [((0,) * 5, 1)]
 
-    @pytest.mark.parametrize("p,n,runs", [(5, 6, 11), (3, 8, 19), (7, 5, 15), (13, 4, 3)])
-    def test_two_exp_runs_per_head_and_none_per_target(self, p, n, runs, capsys, monkeypatch):
-        # 2*p^(h-2) + 1: the two runs of each head, and the one pexp inside
-        # roots_of_unity; the p^(N-h) targets of a head take ring products only
-        calls, real = [], series._series
-
-        def counting(x, terms_of, ctx):
-            calls.append(terms_of)
-            return real(x, terms_of, ctx)
-
-        monkeypatch.setattr(series, "_series", counting)
+    @pytest.mark.parametrize("p,n,runs", [(5, 6, 6), (3, 8, 10), (7, 5, 8), (13, 4, 2)])
+    def test_one_exp_run_per_head_and_none_per_target(self, p, n, runs, capsys, monkeypatch):
+        # p^(h-2) + 1: the one pexp inside roots_of_unity, then one run at each
+        # head x0 in increasing digit order; the p^(N-h) targets of a head
+        # take ring products only
+        h = (n + 1) // 2
+        runs_at = exp_runs(monkeypatch)
         code, out, _ = run_cli(["table", "--p", str(p), "--prec", str(n)], capsys)
         assert code == 0
         assert out.endswith(f" units / {p ** (n - 2)} targets\n")
-        assert calls.count(series._exp_terms) == runs == 2 * p ** ((n + 1) // 2 - 2) + 1
+        assert len(runs_at) == runs == p ** (h - 2) + 1
+        heads = itertools.product(range(p), repeat=h - 2)
+        assert runs_at[1:] == [(0, 0) + head + (0,) * (n - h) for head in heads]
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_first_row_needs_two_exp_runs_and_no_buffer(self, n, monkeypatch):
+        # at (1009,4) the one head has p^2 = 1018081 targets, and at (1009,6)
+        # there are p = 1009 heads; the first row waits for none of the others
+        class FirstWrite(Exception):
+            pass
+
+        class Closed:
+            def write(self, text):
+                raise FirstWrite(text)
+
+        runs_at = exp_runs(monkeypatch)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        argv = ["table", "--p", "1009", "--prec", str(n), "--cap", str(10**16)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstWrite) as info:
+                main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(runs_at) == 2  # the roots' run and the first head's
+        assert peak < 4 * 1024 * 1024
+        roots = " ".join(format_digits(r) for r in roots_of_unity(Context(1009, n)))
+        assert info.value.args == (f"{','.join('0' * n)}: {roots}",)
 
     def test_p3_prec4(self, capsys):
         code, out, _ = run_cli(["table", "--p", "3", "--prec", "4"], capsys)
@@ -355,7 +401,7 @@ class TestTableCommand:
             raise AssertionError("table ran before charging the cap")
 
         monkeypatch.setattr(cli, "roots_of_unity", refused)
-        monkeypatch.setattr(cli, "_heads", refused)
+        monkeypatch.setattr(cli, "pexp", refused)
         code, out, err = run_cli(["table", "--p", "1048573", "--prec", "720"], capsys)
         assert code == 4 and not out
         assert err.startswith("error: enumeration of ") and "exceeds cap" in err

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from cyclolog import Context, PiElement, parse_digits, pexp, plog, preimage, roots_of_unity, series
+from cyclolog import Context, PiElement, parse_digits, pexp, plog, preimage, roots_of_unity
 from cyclolog.cli import main
-from cyclolog.verify import _random_element
+from cyclolog.verify import _head_table, _random_element
 
 from oracle_galois import twist
 
@@ -63,7 +63,7 @@ class TestTwistRelations:
         ctx, h = Context(p, n), (n + 1) // 2
 
         def rows(lead):
-            return {x0: (y0[:h], d[0]) for x0, y0, d in series._heads(lead, series._log_terms, ctx)}
+            return {x0: (y0[:h], d[0]) for x0, y0, d in _head_table(ctx, (lead,))}
 
         first = rows(1)
         for a in range(2, p):

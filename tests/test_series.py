@@ -1,11 +1,12 @@
 import dataclasses
+import importlib
 import itertools
 import random
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import cyclolog
 from cyclolog import (
     Context,
     NotPrincipalUnit,
@@ -21,7 +22,7 @@ from cyclolog import (
     plog,
     preimage,
 )
-from cyclolog import series
+from cyclolog import cli, series, verify
 from cyclolog.series import _exp_terms, _inverse_modulus, _log_terms, _run, _schedule
 
 from oracle_charp import charp_exp_digits, charp_log_digits
@@ -547,62 +548,19 @@ class TestPlansPerContext:
             assert f"{format_digits(y)}\n= {y.expansion()}\n" == want
 
 
-def series_runs(monkeypatch, terms_of):
-    """The x of every call of series._series with terms_of, in order."""
-    runs = []
-    real = series._series
-
-    def record(x, terms, ctx):
-        if terms is terms_of:
-            runs.append(x)
-        return real(x, terms, ctx)
-
-    monkeypatch.setattr(series, "_series", record)
-    return runs
-
-
-class TestHeads:
-    # _heads runs a series twice per head, never once per unit, in increasing
-    # digit order, and yields a head's row before it runs the next head
-    ROWS = [(3, 6), (3, 8), (3, 9), (3, 10), (5, 6), (5, 7), (7, 5), (11, 4), (13, 5)]
-
-    @pytest.mark.parametrize("p,n", ROWS)
-    def test_two_series_runs_per_head(self, p, n, monkeypatch):
-        ctx, h = Context(p, n), (n + 1) // 2
-        points = ((0,) * (n - h), (1,) + (0,) * (n - h - 1))  # x0 + 0 and x0 + pi^h
-        for lead, terms in ((1, _log_terms), (0, _exp_terms)):
-            runs = series_runs(monkeypatch, terms)
-            rows = list(series._heads(lead, terms, ctx))
-            assert runs == [x0 + point for x0, _, _ in rows for point in points]
-            for x0, y0, d in rows[:3]:
-                assert y0 == term_by_term_series(x0 + points[0], terms, ctx)
-                assert d[0] == 1
-            monkeypatch.undo()
-
-    @pytest.mark.parametrize("p,n", ROWS)
-    def test_rows_per_lead_in_increasing_digit_order(self, p, n):
-        ctx, h = Context(p, n), (n + 1) // 2
-        for lead in range(p):
-            heads = [x0 for x0, _, _ in series._heads(lead, _log_terms, ctx)]
-            assert heads == [(0, lead) + rest for rest in itertools.product(range(p), repeat=h - 2)]
-
-    def test_first_row_needs_two_runs_and_no_buffer(self, monkeypatch):
-        # a lead at (1009,4) has p^2 = 1018081 units on its one head, and one
-        # at (1009,6) has p = 1009 heads; the first row waits for none of them
-        for n in (4, 6):
-            ctx = Context(1009, n)
-            runs = series_runs(monkeypatch, _log_terms)
-            tracemalloc.start()
-            try:
-                x0, y0, d = next(series._heads(1, _log_terms, ctx))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert len(runs) == 2
-            assert peak < 4 * 1024 * 1024
-            assert x0 == (0, 1) + (0,) * (len(x0) - 2) and d[0] == 1
-            assert y0 == term_by_term_series(runs[0], _log_terms, ctx)
-            monkeypatch.undo()
+class TestLayering:
+    # plog and pexp are the series module's surface: no other module binds a
+    # private name of it, so only plog and pexp reach its kernel
+    def test_no_module_binds_a_private_series_name(self):
+        private = {
+            id(value): name
+            for name, value in vars(series).items()
+            if name.startswith("_") and getattr(value, "__module__", None) == series.__name__
+        }
+        assert {"_series", "_log_terms", "_exp_terms"} <= set(private.values())
+        for module in (cli, verify, importlib.import_module("cyclolog.preimage"), cyclolog):
+            bound = sorted(name for name, value in vars(module).items() if id(value) in private)
+            assert not bound, (module.__name__, bound)
 
 
 class TestCarryFreeUnitMinusOne:

@@ -248,9 +248,8 @@ class TestRunAll:
         def dropping(ctx, v):
             return [t for t in log_terms(ctx, v) if t[0] != p]
 
-        # every plan of the log reads its terms here: plog's and the head rows'
+        # every plan of the log reads its terms here, the head rows' too
         monkeypatch.setattr(series, "_log_terms", dropping)
-        monkeypatch.setattr(verify, "_log_terms", dropping)
         checks = {c.name: c for c in run_all(Context(p, n), seed=0).checks}
         annulus = checks["annulus_image"]
         assert not annulus.passed
@@ -502,6 +501,34 @@ class TestAffineTail:
         assert broken
 
 
+class TestHeadTable:
+    # _head_table runs plog twice per head, at x0 and x0 + pi^h, never once
+    # per unit, and gives the rows in increasing digit order
+    @pytest.mark.parametrize("p,n", PLANNED_ROWS)
+    def test_two_log_runs_per_head(self, p, n, monkeypatch):
+        ctx, h = Context(p, n), (n + 1) // 2
+        points = ((0,) * (n - h), (1,) + (0,) * (n - h - 1))  # x0 + 0 and x0 + pi^h
+        runs, real = [], verify.plog
+
+        def record(u):
+            runs.append(u.digits)
+            return real(u)
+
+        monkeypatch.setattr(verify, "plog", record)
+        rows = verify._head_table(ctx, range(p))
+        assert runs == [x0 + point for x0, _, _ in rows for point in points]
+        assert all(d[0] == 1 for _, _, d in rows)
+        for x0, y0, _ in rows[:: p ** (h - 2)]:  # each lead's first head
+            assert PiElement(y0, ctx) == oracle_log(PiElement(x0 + points[0], ctx))
+
+    @pytest.mark.parametrize("p,n", PLANNED_ROWS)
+    def test_rows_per_lead_in_increasing_digit_order(self, p, n):
+        ctx, h = Context(p, n), (n + 1) // 2
+        for lead in range(p):
+            heads = [x0 for x0, _, _ in verify._head_table(ctx, (lead,))]
+            assert heads == [(1, lead) + rest for rest in itertools.product(range(p), repeat=h - 2)]
+
+
 class TestPlannedTables:
     # the reference sums each unit's series term by term in the ring
     @pytest.mark.parametrize("p,n", PLANNED_ROWS)
@@ -543,7 +570,7 @@ class TestPlannedTables:
 
     @pytest.mark.parametrize("p,n", [(3, 6), (5, 5), (3, 9)])
     def test_each_unit_gets_its_fault_once(self, p, n, monkeypatch):
-        # the head seam takes the fault at the two points of each head, once
+        # the head rows take the fault at the two points of each head, once
         # each; a fault that reads only head digits then moves each unit's log
         # in the per-unit tables exactly as plog's fault moves it
         ctx, h = Context(p, n), (n + 1) // 2
@@ -556,13 +583,12 @@ class TestPlannedTables:
             return ctx.uniformizer().mul_pi_power(n - 2) if digits[h - 1] == 1 else None
 
         inject_log_fault(monkeypatch, on_head_digit)
-        monkeypatch.setattr(series, "_heads", verify._heads)
         faulted = oracle_tables.Tables(ctx)
         for table in ("annulus", "squares"):
             log_of = {u: lg for lg, units in getattr(real, table).items() for u in units}
             moved = {u for lg, units in getattr(faulted, table).items() for u in units if lg != log_of[u]}
             assert moved == {u for u in log_of if u[h - 1] == 1}
-        heads = [(0,) + rest for rest in itertools.product(range(p), repeat=h - 1)]
+        heads = [(1,) + rest for rest in itertools.product(range(p), repeat=h - 1)]
         points = [x0 + (t,) + (0,) * (n - h - 1) for x0 in heads for t in (0, 1)]
         assert sorted(seen) == sorted(points)
         seen.clear()
@@ -631,9 +657,8 @@ class TestHeadLevelChecks:
     @pytest.mark.parametrize("p,n", PLANNED_ROWS)
     def test_counts_and_witnesses_match_the_per_unit_tables(self, p, n, fault, monkeypatch):
         if fault:
-            inject_log_fault(monkeypatch, HEAD_FAULTS[fault])
             # the reference's log table reads the same faulted head rows
-            monkeypatch.setattr(series, "_heads", verify._heads)
+            inject_log_fault(monkeypatch, HEAD_FAULTS[fault])
         self.assert_matches_per_unit_tables(Context(p, n))
 
     @pytest.mark.parametrize("p,n", PLANNED_ROWS)
@@ -644,7 +669,6 @@ class TestHeadLevelChecks:
             return [t for t in log_terms(ctx, v) if t[0] != p]
 
         monkeypatch.setattr(series, "_log_terms", dropping)
-        monkeypatch.setattr(verify, "_log_terms", dropping)
         fiber = self.assert_matches_per_unit_tables(Context(p, n))
         assert fiber.startswith("ValuationTooSmall")
 
