@@ -75,7 +75,7 @@ class _Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # every binary ring op compares two contexts, nearly always one object
+        # an object equals itself without reading its fields
         return self is other or self._fields() == other._fields()
 
     def __hash__(self):
@@ -156,10 +156,13 @@ def _in_range(value, low: int, p: int, what: str, error=ValueError) -> int:
 def _canonical(raw: Iterable[int], p: int, n: int) -> tuple[int, ...]:
     """The one carry pass: canonical digits of sum(raw[i] * pi^i) mod pi^n.
 
-    Every computed integer vector becomes canonical here, at any length n >= 1.
+    Every computed integer vector becomes canonical here, at any length n >= 1,
+    as exactly n digits: a shorter raw is zero padded, and the entries of a
+    longer one at positions n and up are multiples of pi^n and dropped.
     """
     buf = list(raw)
-    buf += [0] * (n - len(buf))
+    if len(buf) != n:
+        buf = buf[:n] + [0] * (n - len(buf))
     shift = p - 1
     for j in range(n):
         v = buf[j]
@@ -261,7 +264,8 @@ class PiElement:
     def _binary(self, other, combine):
         ctx = self.ctx
         if isinstance(other, PiElement):
-            if other.ctx != ctx:
+            # nearly always one Context object, which spares _Frozen.__eq__
+            if other.ctx is not ctx and other.ctx != ctx:
                 raise ContextMismatch(f"{other.ctx} does not match {ctx}")
         elif isinstance(other, int):
             other = ctx.from_integer(other)
@@ -307,7 +311,7 @@ class PiElement:
     def __eq__(self, other):
         if not isinstance(other, PiElement):
             return NotImplemented
-        return self.ctx == other.ctx and self.digits == other.digits
+        return (self.ctx is other.ctx or self.ctx == other.ctx) and self.digits == other.digits
 
     def __hash__(self):
         return hash((self.ctx, self.digits))

@@ -19,7 +19,9 @@ N <= p - 1 and v = 1 that is the term n = p, x^p/p = -pi * w^p: digit 1 of
 the log is a1 - a1^p = 0, the Fermat cancellation that puts the image in m^2.
 
 No choice above reads a digit of w: _schedule makes them all once per plan,
-from (terms, p, N) and bounds, and _run carries the plan out for any w.
+from (terms, p, N) and bounds, and _run carries the plan out for any w.  A
+plan holds no mask; _run builds one per length it meets, so a Context's plans
+grow with their terms, not as N^2.
 _series, the one way in for plog and pexp, takes x and the series alone,
 plans each series once per valuation and Context, and keeps the plan on the
 Context; no module but this one calls it.
@@ -164,10 +166,11 @@ def _schedule(terms: list[tuple[int, int, int]], p: int, N: int) -> tuple[list[t
     over the steps from it on: the lengths never grow, so w is packed once, to
     the first step's length, and the next power is this one times w, once per
     step of n, at the same length.  The powers stay packed and uncarried with
-    a bound on their limbs.  A step is (kind, s, c, length, mask, carries):
-    mask covers `length` limbs, and carries holds one flag per product by w
-    before the term, true where the power is carried first because a limb of
-    the product could reach 2**64.  The bounds fix one of three kinds per step:
+    a bound on their limbs.  A step is (kind, s, c, length, carries): carries
+    holds one flag per product by w before the term, true where the power is
+    carried first because a limb of the product could reach 2**64.  A step
+    holds no mask; _run builds one only where the length changes.  The bounds
+    fix one of three kinds per step:
 
     - "join": c*w^n shifted into the packed total, while total's bound
       plus c times the power's bound stays below 2**64, on nearly every term;
@@ -197,39 +200,47 @@ def _schedule(terms: list[tuple[int, int, int]], p: int, N: int) -> tuple[list[t
             kind, pb, bound = _CARRY_JOIN, top, bound + c * top
         else:
             kind = _RAW
-        steps.append((kind, s, c, length, (1 << 64 * length) - 1, carries))
+        steps.append((kind, s, c, length, carries))
     return digits, steps
 
 
 def _run(wd: tuple[int, ...], plan: tuple, p: int, N: int) -> tuple[int, ...]:
     """Canonical digits of the sum a _schedule plans, at w with digits wd.
 
-    Each digit record adds c * w_0^n mod p at position s of an integer vector
-    raw.  The steps add to raw, or to a packed integer total whose limb s + j
-    holds c*d for each digit d of w^n, j < N - s; one _canonical call carries
-    raw + total.  The digits match a term-by-term ring sum: _canonical
-    canonicalizes any integer vector exactly, and
-    pi^s * (c*w^n mod pi^N) = c*pi^s*w^n mod pi^N.
+    The join steps add into a packed integer total whose limb s + j holds
+    c*d for each digit d of w^n, j < N - s.  The mask (1 << 64*length) - 1 is
+    built only where the length changes, which shortens packed w with it.  A
+    product needs no mask on the power first, as the low limbs of an integer
+    product read only the low limbs of its factors.  total is unpacked into
+    the vector that _canonical carries, and the raw steps' powers and each
+    digit record's c * w_0^n mod p at position s are added to it.  The digits
+    match a term-by-term ring sum: _canonical canonicalizes any integer
+    vector exactly, and pi^s * (c*w^n mod pi^N) = c*pi^s*w^n mod pi^N.
     """
     digits, steps = plan
-    raw = [0] * N
-    for n, s, c in digits:
-        raw[s] += c * pow(wd[0], n, p)
-    total = 0
-    packed_w = power = _pack(wd, steps[0][3] if steps else 0)  # packed w^n, n the last step's
-    for kind, s, c, length, mask, carries in steps:
+    total, raws = 0, []
+    length = steps[0][3] if steps else 0
+    mask = (1 << 64 * length) - 1
+    packed_w = power = _pack(wd, length)  # packed w^n, n the last step's
+    for kind, s, c, step_length, carries in steps:
+        if step_length != length:
+            length, mask = step_length, (1 << 64 * step_length) - 1
+            packed_w &= mask
         for carry in carries:
             if carry:
                 power = _carry(power, p, length)
-            power = (power & mask) * (packed_w & mask) & mask
+            power = power * packed_w & mask
         if kind is _RAW:
-            raw[s:] = [r + c * d for r, d in zip(raw[s:], _unpack(power, N - s))]
+            raws.append((s, c, power))
             continue
         if kind is _CARRY_JOIN:
             power = _carry(power, p, length)
         total += c * power << 64 * s
-    if total:
-        raw = [r + t for r, t in zip(raw, _unpack(total, N))]
+    raw = list(_unpack(total, N))
+    for s, c, power in raws:
+        raw[s:] = [r + c * d for r, d in zip(raw[s:], _unpack(power, N - s))]
+    for n, s, c in digits:
+        raw[s] += c * pow(wd[0], n, p)
     return _canonical(raw, p, N)
 
 
@@ -243,9 +254,10 @@ def _series(x: tuple[int, ...], terms_of, ctx: Context) -> tuple[int, ...]:
     v = 0
     while v < N and not x[v]:
         v += 1
-    if (terms_of, v) not in ctx._plans:
-        ctx._plans[terms_of, v] = _schedule(terms_of(ctx, v), p, N)
-    return _run(x[v:] + (0,) * v, ctx._plans[terms_of, v], p, N)
+    plan = ctx._plans.get((terms_of, v))
+    if plan is None:
+        plan = ctx._plans[terms_of, v] = _schedule(terms_of(ctx, v), p, N)
+    return _run(x[v:] + (0,) * v, plan, p, N)
 
 
 def plog(u: PiElement) -> PiElement:

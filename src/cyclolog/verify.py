@@ -26,9 +26,11 @@ before pexp sees it.  Counts are exact and failures carry digit-string
 witnesses.
 
 run_all adds seeded property suites for the series and preimage modules.  Each
-sampled check is a stream of (ok, witnesses) trials counted by one tally,
-_tally, and draws from a stream of its own, random.Random(f"{seed}:{name}"),
-so its report depends only on (p, N, seed, its name).  The roots of unity are
+sampled check is a stream of (ok, shown) trials counted by one tally, _tally,
+and draws from a stream of its own, random.Random(f"{seed}:{name}"), so its
+report depends only on (p, N, seed, its name).  A trial shows the elements
+behind its witnesses, and _tally formats only a failing trial's, so a passing
+run formats no digit string.  The roots of unity are
 certified by a generator: the first root z has z^p = 1 and z != 1, and z
 times each element of the group stays in it.  Every check charges the cap
 (the round-trip and homomorphism checks count N^2); run_all records a cap
@@ -302,19 +304,26 @@ def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
 
 def _random_element(rng: random.Random, ctx: Context, head: tuple[int, ...]) -> PiElement:
     """`head` followed by random digits up to the precision, drawn in order."""
-    tail = tuple(rng.randrange(ctx.p) for _ in range(ctx.precision - len(head)))
+    randrange, p = rng.randrange, ctx.p
+    tail = tuple([randrange(p) for _ in range(ctx.precision - len(head))])
     return PiElement._make(head + tail, ctx)
 
 
+def _show(shown) -> str:
+    """A witness string: the digit string of an element, str of anything else."""
+    return format_digits(shown) if isinstance(shown, PiElement) else str(shown)
+
+
 def _tally(name: str, counts: dict[str, int], trials) -> CheckResult:
-    """Count the failing (ok, witnesses) trials, keeping the witnesses of the
-    first failures while fewer than _MAX_WITNESSES are held."""
+    """Count the failing (ok, shown) trials, keeping the witnesses of the
+    first failures while fewer than _MAX_WITNESSES are held.  A trial shows
+    the elements behind its witnesses, and only a failing one is formatted."""
     failures, witnesses = 0, []
     for ok, shown in trials:
         if not ok:
             failures += 1
             if len(witnesses) < _MAX_WITNESSES:
-                witnesses.extend(shown)
+                witnesses.extend(map(_show, shown))
     return CheckResult(name, failures == 0, {**counts, "failures": failures}, witnesses)
 
 
@@ -326,7 +335,7 @@ def _check_exp_log_roundtrip(ctx: Context, rng: random.Random, cap: int) -> Chec
         x = _random_element(rng, ctx, (0, 0))
         y = plog(u)
         ok = not (y.digits[0] or y.digits[1]) and pexp(y) == u and plog(pexp(x)) == x
-        return ok, [format_digits(u)]
+        return ok, (u,)
 
     samples = 40
     return _tally("exp_log_roundtrip", {"samples": samples}, (trial() for _ in range(samples)))
@@ -337,7 +346,7 @@ def _check_log_homomorphism(ctx: Context, rng: random.Random, cap: int) -> Check
 
     def trial():
         u, v = _random_element(rng, ctx, (1,)), _random_element(rng, ctx, (1,))
-        return plog(u * v) == plog(u) + plog(v), [format_digits(u), format_digits(v)]
+        return plog(u * v) == plog(u) + plog(v), (u, v)
 
     samples = 40
     return _tally("log_homomorphism", {"samples": samples}, (trial() for _ in range(samples)))
@@ -349,7 +358,7 @@ def _check_digit2_formula(ctx: Context, rng: random.Random, cap: int) -> CheckRe
 
     def trial(a1, a2):
         u = _random_element(rng, ctx, (1, a1, a2))
-        return plog(u).digits[2] == log_digit_formula(a1, a2, ctx), [format_digits(u)]
+        return plog(u).digits[2] == log_digit_formula(a1, a2, ctx), (u,)
 
     if p * p <= _DIGIT2_PAIRS:
         pairs = itertools.product(range(p), repeat=2)
@@ -368,7 +377,7 @@ def _check_lift_independence(ctx: Context, rng: random.Random, cap: int) -> Chec
     def trial():
         u = _random_element(rng, ctx, (1,))
         lifted = _random_element(rng, lifted_ctx, u.digits)
-        return plog(lifted).resize(ctx.precision) == plog(u), [format_digits(lifted)]
+        return plog(lifted).resize(ctx.precision) == plog(u), (lifted,)
 
     return _tally("lift_independence", {"samples": samples}, (trial() for _ in range(samples)))
 
@@ -382,7 +391,7 @@ def _check_preimage_soundness(ctx: Context, rng: random.Random, cap: int) -> Che
         y = _random_element(rng, ctx, (0, 0))
         units = preimage_all(y)
         branches = {u.digits[1] for u in units}
-        return branches == set(range(1, p)) and all(plog(u) == y for u in units), [format_digits(y)]
+        return branches == set(range(1, p)) and all(plog(u) == y for u in units), (y,)
 
     counts = {"targets": samples, "branches": p - 1}
     return _tally("preimage_soundness", counts, (trial() for _ in range(samples)))
@@ -402,7 +411,7 @@ def _check_preimage_in_fiber(
         units = preimage_all(y)
         in_fiber = all(u.digits[1] and plog(u) == y for u in units)
         ok = in_fiber and len({u.digits for u in units}) == fibers[y.digits[:depth]]
-        return ok, [format_digits(y)]
+        return ok, (y,)
 
     return _tally("preimage_matches_fiber", {"targets": samples}, (trial() for _ in range(samples)))
 
@@ -423,10 +432,10 @@ def _check_roots_of_unity(ctx: Context, cap: int) -> CheckResult:
     group = {r.digits for r in roots} | {one.digits}
     z = roots[0]
     trials = itertools.chain(
-        [(len(roots) == p - 1, [])],
-        [(z ** p == one and z != one, [format_digits(z)])],
-        [(z.digits[1] == 1, [format_digits(z)])],
-        ((zg.digits in group, [format_digits(zg)]) for zg in (z * g for g in (one, *roots))),
+        [(len(roots) == p - 1, ())],
+        [(z ** p == one and z != one, (z,))],
+        [(z.digits[1] == 1, (z,))],
+        ((zg.digits in group, (zg,)) for zg in (z * g for g in (one, *roots))),
     )
     return _tally("roots_of_unity", {"roots": len(roots), "group_order": len(group)}, trials)
 
@@ -440,7 +449,7 @@ def _check_qr_branch_count(ctx: Context, cap: int) -> CheckResult:
         by_branch = {(a1, digit2_for_branch(y2, a1, ctx)) for a1 in range(1, p)}
         distinct_a2 = {a2 for _, a2 in pairs}
         ok = len(pairs) == p - 1 and pairs == by_branch and len(distinct_a2) == (p - 1) // 2
-        return ok, [str(y2)]
+        return ok, (y2,)
 
     return _tally("qr_branch_count", {"y2_values": p}, (trial(y2) for y2 in range(p)))
 

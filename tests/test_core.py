@@ -32,7 +32,7 @@ from cyclolog import (
     run_all,
 )
 from cyclolog import verify
-from cyclolog.ring import PRECISION_CAP, _mul
+from cyclolog.ring import PRECISION_CAP, _canonical, _mul
 
 
 def schoolbook_mul(a, b):
@@ -79,6 +79,20 @@ class TestNormalize:
             raw = [rng.randint(-50, 50) for _ in range(n)]
             once = normalize(raw, ctx)
             assert normalize(list(once.digits), ctx) == once
+
+    def test_canonical_drops_entries_at_and_past_n(self):
+        # an entry at position >= n is a multiple of pi^n
+        assert _canonical([0, 0, 0, 0, 9], 3, 3) == (0, 0, 0)
+        assert _canonical([3, 0, 0, 5, -7], 3, 3) == (0, 0, 2)
+
+    @pytest.mark.parametrize("p,n", [(3, 3), (5, 4), (7, 1)])
+    def test_canonical_of_a_longer_vector_is_its_first_n_entries(self, p, n):
+        rng = random.Random(11)
+        for extra in range(1, 2 * p):
+            raw = [rng.randint(-50, 50) for _ in range(n + extra)]
+            got = _canonical(raw, p, n)
+            assert len(got) == n and all(0 <= d < p for d in got)
+            assert got == _canonical(raw[:n], p, n)
 
 
 class TestRingOps:

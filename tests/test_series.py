@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -291,7 +292,7 @@ class TestShortcutsMatchTermByTermSum:
 def product_lengths(schedule):
     """The length of each product by w that a schedule forms, in order."""
     _, steps = schedule
-    return [length for _, _, _, length, _, carries in steps for _ in carries]
+    return [length for _, _, _, length, carries in steps for _ in carries]
 
 
 class TestSeriesKernelLengths:
@@ -503,6 +504,23 @@ class TestPlansPerContext:
         assert plog(PiElement(u.digits, fresh)).digits == plog(u).digits
         assert len(plans) == 1
         assert fresh._plans.keys() == warm._plans.keys() and fresh._plans is not warm._plans
+
+    def test_every_plan_of_a_context_is_small(self):
+        # a step holds no mask, so the plans grow with their terms, not as N^2
+        p, n = 3, 256
+        ctx = Context(p, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for v in range(1, n + 1):
+                plog(ctx.one() + ctx.uniformizer().mul_pi_power(v - 1))
+                if v >= 2:
+                    pexp(ctx.uniformizer().mul_pi_power(v - 1))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ctx._plans) == 2 * n - 1
+        assert held < 1.5 * (1 << 20)
 
     def test_equality_hash_and_repr_ignore_the_plans(self):
         warm = Context(5, 6)

@@ -329,6 +329,10 @@ class TestGoldenReports:
             (3, 6, None, "verify_p3_n6_seed0.json"),
             (5, 5, None, "verify_p5_n5_seed0.json"),
             (3, 6, 200, "verify_p3_n6_seed0_cap200.json"),
+            # the benchmark's rows, captured before the maskless plan steps
+            (3, 8, None, "verify_p3_n8_seed0.json"),
+            (5, 6, None, "verify_p5_n6_seed0.json"),
+            (7, 5, None, "verify_p7_n5_seed0.json"),
         ],
     )
     def test_report_matches_golden(self, p, n, cap, name):
@@ -345,6 +349,43 @@ class TestGoldenReports:
         assert sum(not c.passed for c in report.checks) == 7
         golden = (GOLDEN / "verify_p5_n5_seed3_faulty_plog.json").read_text()
         assert report.to_json() + "\n" == golden
+
+
+def count_formatting(monkeypatch):
+    """The witness strings verify formats, in call order."""
+    formatted = []
+    real = verify.format_digits
+
+    def counting(a):
+        formatted.append(real(a))
+        return formatted[-1]
+
+    monkeypatch.setattr(verify, "format_digits", counting)
+    return formatted
+
+
+class TestLazyWitnesses:
+    # a trial shows the elements behind its witnesses, and only a failing
+    # trial has them formatted
+    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
+    def test_a_passing_run_formats_nothing(self, p, n, monkeypatch):
+        formatted = count_formatting(monkeypatch)
+        report = run_all(Context(p, n), seed=0)
+        assert report.all_passed
+        assert formatted == []
+
+    def test_a_failing_run_formats_only_the_kept_witnesses(self, monkeypatch):
+        # the faulty golden's log_homomorphism holds 6 witnesses: a failing
+        # trial shows two, and extending stops once 5 are held
+        inject_log_fault(monkeypatch, golden_fault)
+        formatted = count_formatting(monkeypatch)
+        report = run_all(Context(5, 5), seed=3)
+        assert report.to_json() + "\n" == (GOLDEN / "verify_p5_n5_seed3_faulty_plog.json").read_text()
+        sampled = {
+            c.name: c.witnesses for c in report.checks if not c.passed and "failures" in c.counts
+        }
+        assert len(sampled["log_homomorphism"]) == 6
+        assert formatted == [w for ws in sampled.values() for w in ws]
 
 
 class TestSharedTables:
