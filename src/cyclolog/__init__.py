@@ -2,8 +2,9 @@
 p-adic logarithm and exponential on principal units, constructive log
 preimages on the unit annulus, and exhaustive verifiers.
 
-The verifier's names are looked up in cyclolog.verify when asked for, so
-importing the package, or running any cli command but verify, never loads it.
+Every name in __all__ that this module does not import is one of
+cyclolog.verify's, looked up there when asked for, so importing the package,
+or running any cli command but verify, never loads the verifier.
 """
 
 from .errors import (
@@ -68,22 +69,13 @@ __all__ = [
     "run_all",
 ]
 
-_VERIFY_NAMES = frozenset({
-    "CheckResult",
-    "VerificationReport",
-    "check_annulus_image",
-    "check_full_image_and_index",
-    "check_residue_field",
-    "check_square_iso",
-    "run_all",
-})
-
 
 def __getattr__(name):
-    # Looked up in verify on every call and never stored here: a stored
-    # function would keep whatever verify held at the first lookup, such as a
-    # wrapper a tracer has since taken away.
-    if name == "verify" or name in _VERIFY_NAMES:
+    # Reached only for names not bound here: "verify", and the __all__ names
+    # that live in verify.  Looked up there on every call and never stored: a
+    # stored function would keep whatever verify held at the first lookup,
+    # such as a wrapper a tracer has since taken away.
+    if name == "verify" or name in __all__:
         import importlib
 
         verify = importlib.import_module(".verify", __name__)
@@ -92,4 +84,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(globals().keys() | _VERIFY_NAMES | {"verify"})
+    return sorted(globals().keys() | {*__all__, "verify"})

@@ -35,14 +35,7 @@ def qr_pair_enumeration(y2: int, ctx: Context) -> set[tuple[int, int]]:
     roots_of: dict[int, list[int]] = {}
     for r in range(1, p):
         roots_of.setdefault(r * r % p, []).append(r)
-    pairs = set()
-    for a2 in range(p):
-        t = (2 * a2 - 2 * y2) % p
-        if t == 0:
-            continue
-        for a1 in roots_of.get(t, ()):
-            pairs.add((a1, a2))
-    return pairs
+    return {(a1, a2) for a2 in range(p) for a1 in roots_of.get((2 * a2 - 2 * y2) % p, ())}
 
 
 def preimage(y: PiElement, branch: int) -> PrincipalUnit:

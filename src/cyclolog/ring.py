@@ -108,11 +108,9 @@ class Context(_Frozen):
         # (terms_of, v), are pure functions of (series, p, precision, v), so
         # they stay outside equality, hash and repr
         self._set(p=operator.index(p), precision=operator.index(precision), _plans={})
-        if self.p < 3:
-            raise ValueError(f"p must be an odd prime >= 3, got {self.p!r}")
-        if self.p > P_CAP:
+        if self.p > P_CAP:  # first, as it bounds _is_prime's trial division
             raise ValueError(f"p must be at most 2**20, got {self.p}")
-        if not _is_prime(self.p):  # only after the cap, which bounds its trial division
+        if self.p < 3 or not _is_prime(self.p):
             raise ValueError(f"p must be an odd prime >= 3, got {self.p!r}")
         if self.precision < 4:
             raise ValueError(f"precision must be an integer >= 4, got {self.precision!r}")

@@ -270,9 +270,8 @@ def plog(u: PiElement) -> PiElement:
 
 def pexp(x: PiElement) -> PrincipalUnit:
     """p-adic exponential sum(x^n / n!), defined for valuation(x) >= 2."""
-    v = x.valuation()
-    if v < 2:
-        raise ValuationTooSmall(f"valuation {v} < 2, outside the convergence domain")
+    if x.digits[0] or x.digits[1]:
+        raise ValuationTooSmall(f"valuation {x.valuation()} < 2, outside the convergence domain")
     return PrincipalUnit._make(_series(x.digits, _exp_terms, x.ctx), x.ctx)
 
 

@@ -477,6 +477,17 @@ class TestPublicSurface:
         monkeypatch.undo()
         assert cyclolog.run_all is real
 
+    def test_the_unbound_all_names_are_the_verifiers(self):
+        lazy = set(cyclolog.__all__) - set(vars(cyclolog))
+        assert lazy == {
+            "CheckResult", "VerificationReport", "check_annulus_image",
+            "check_full_image_and_index", "check_residue_field", "check_square_iso",
+            "run_all",
+        }
+        for name in lazy:
+            assert getattr(cyclolog, name) is getattr(verify, name)
+            assert name not in vars(cyclolog)
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
             cyclolog.no_such_name
@@ -537,6 +548,16 @@ class TestFrozenValues:
             Context(4, 3)
         with pytest.raises(ValueError, match=r"^precision must be an integer >= 4, got 3$"):
             Context(5, 3)
+
+    @pytest.mark.parametrize(
+        "p,message",
+        [(p, f"p must be an odd prime >= 3, got {p}") for p in (0, 1, 2, 4, 9, 15, -5)]
+        + [(p, f"p must be at most 2**20, got {p}") for p in (2**20 + 7, 10**18 + 3)],
+    )
+    def test_context_rejects_p_with_its_message(self, p, message):
+        with pytest.raises(ValueError) as info:
+            Context(p, 6)
+        assert str(info.value) == message
 
     def test_contexts_of_other_classes_are_unequal(self):
         class Other(Context):

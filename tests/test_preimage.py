@@ -195,6 +195,24 @@ class TestPreimageAll:
             for b in units:
                 assert (a * b.invert_unit()) ** p == one
 
+    @pytest.mark.parametrize(
+        "p,n", [(3, 8), (5, 6), (7, 5), (3, 32), (13, 12), (101, 8), (1009, 6)]
+    )
+    def test_fiber_is_the_roots_of_unity_times_exp_of_the_target(self, p, n):
+        # branch b of log^-1(y) is z^b * exp(y): the identity a generator-power
+        # solver would compute the fiber by
+        ctx = Context(p, n)
+        roots = roots_of_unity(ctx)
+        rng = random.Random(97)
+        targets = []
+        while len(targets) < 3:
+            y = random_target(rng, ctx)
+            if y != ctx.zero():
+                targets.append(y)
+        for y in targets:
+            e = pexp(y)
+            assert [u.digits for u in preimage_all(y)] == [(r * e).digits for r in roots]
+
 
 class TestRootsOfUnity:
     @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])

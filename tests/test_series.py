@@ -186,6 +186,15 @@ class TestPexp:
         with pytest.raises(ValuationTooSmall):
             pexp(ctx.uniformizer())
 
+    def test_rejection_names_the_valuation(self):
+        ctx = Context(5, 5)
+        with pytest.raises(ValuationTooSmall) as info:
+            pexp(ctx.one())
+        assert str(info.value) == "valuation 0 < 2, outside the convergence domain"
+        with pytest.raises(ValuationTooSmall) as info:
+            pexp(ctx.uniformizer())
+        assert str(info.value) == "valuation 1 < 2, outside the convergence domain"
+
     @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
     def test_roundtrip_log_then_exp(self, p, n):
         ctx = Context(p, n)
