@@ -32,11 +32,10 @@ report depends only on (p, N, seed, its name).  A trial shows the elements
 behind its witnesses, and _tally formats only a failing trial's, so a passing
 run formats no digit string.  The roots of unity are
 certified by a generator: the first root z has z^p = 1 and z != 1, and z
-times each element of the group stays in it.  Every check charges the cap
-(the round-trip and homomorphism checks count N^2); run_all records a cap
-violation as a skip marker and any other domain error as an error marker.
-A charge counts elements, not their cost: residue_field, roots_of_unity,
-digit2_formula and preimage_soundness charge p, p, p^2 and 20*(p-1) at any N.
+times each element of the group stays in it.  _CHECKS declares each check
+once, as its report name, its charge to the cap and its run, and _checked
+charges before it runs; run_all records a cap violation as a skip marker and
+any other domain error as an error marker.
 """
 
 from __future__ import annotations
@@ -170,14 +169,8 @@ def _unit_count(prefixes, ctx: Context) -> int:
     return sum(ctx.p ** (ctx.precision - len(q)) for q in prefixes)
 
 
-def check_annulus_image(
-    ctx: Context, cap: int = DEFAULT_CAP, tables: _HeadTables | None = None
-) -> CheckResult:
-    """Logs of all units with nonzero digit 1 cover m_K^2 exactly, in fibers of p-1."""
+def _check_annulus_image(ctx: Context, rng, tables: _HeadTables) -> CheckResult:
     p, n = ctx.p, ctx.precision
-    total = _enumeration_count(p - 1, p, n - 2, cap)
-    _require(total, cap)
-    tables = _HeadTables(ctx) if tables is None else tables
     rows = tables.annulus
     depth, fibers = _fibers(p, rows)
     # a head's units share y0's digits 0 and 1, so they leave m_K^2 together
@@ -190,7 +183,7 @@ def check_annulus_image(
     if not passed and not witnesses:
         witnesses = _first_witnesses(sorted(q for q, f in fibers.items() if f != p - 1), ctx)
     counts = {
-        "units": total,
+        "units": (p - 1) * expected,
         "images": images,
         "expected_images": expected,
         "min_fiber": min_fiber,
@@ -212,21 +205,15 @@ def _unrecovered(unit: tuple[int, ...], a: PiElement, b: PiElement, ctx: Context
             yield unit + digits
 
 
-def check_square_iso(
-    ctx: Context, cap: int = DEFAULT_CAP, tables: _HeadTables | None = None
-) -> CheckResult:
-    """plog restricted to 1 + m_K^2 is a bijection onto m_K^2 inverted by pexp.
-
-    On a head whose log prefix lies in m_K^2 the round trip is affine too:
+def _check_square_iso(ctx: Context, rng, tables: _HeadTables) -> CheckResult:
+    """On a head whose log prefix lies in m_K^2 the round trip is affine too:
     pexp(y0 + pi^h*tau*d) = e0 + tau*(e1 - e0), with e0 and e1 pexp at
     tau = 0 and 1, so the unit u0 + pi^h*tau comes back iff a + tau*b = 0,
     a = e0 - u0 and b = e1 - e0 - pi^h.  Since v(b) >= h, that has
     p^(v(b) - h) solutions tau mod pi^(N - h) if v(a) >= v(b), else none.
     """
     p, n = ctx.p, ctx.precision
-    total = _enumeration_count(1, p, n - 2, cap)
-    _require(total, cap)
-    tables = _HeadTables(ctx) if tables is None else tables
+    total = p ** (n - 2)
     rows = tables.squares
     depth, fibers = _fibers(p, rows)
     images = len(fibers) * p ** (n - depth)
@@ -258,15 +245,9 @@ def check_square_iso(
     return CheckResult("square_isomorphism", passed, counts, witnesses)
 
 
-def check_full_image_and_index(
-    ctx: Context, cap: int = DEFAULT_CAP, tables: _HeadTables | None = None
-) -> CheckResult:
-    """log(1 + m_K) fills m_K^2, which sits at index exactly p inside m_K."""
+def _check_full_image_and_index(ctx: Context, rng, tables: _HeadTables) -> CheckResult:
     p, n = ctx.p, ctx.precision
-    annulus_total = _enumeration_count(p - 1, p, n - 2, cap)
-    square_total = _enumeration_count(1, p, n - 2, cap)
-    _require(annulus_total + square_total, cap)
-    tables = _HeadTables(ctx) if tables is None else tables
+    square_total = p ** (n - 2)
     depth, union = _fibers(p, tables.annulus, tables.squares)
     size = p ** (n - depth)
     outside = sorted(q for q in union if q[0] or q[1])
@@ -276,7 +257,7 @@ def check_full_image_and_index(
     m_squared = ((0, 0) + rest for rest in itertools.product(range(p), repeat=depth - 2))
     gaps = (q for q in m_squared if q not in union) if missing else ()
     counts = {
-        "annulus_units": annulus_total,
+        "annulus_units": (p - 1) * square_total,
         "square_units": square_total,
         "union_images": len(union) * size,
         "m_squared_size": square_total,
@@ -288,11 +269,10 @@ def check_full_image_and_index(
     return CheckResult("full_image_and_index", passed, counts, witnesses)
 
 
-def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
-    """m_K / m_K^2 has exactly p cosets, counted on the units u = 1 + a1*pi:
-    the u - 1 fill p classes mod pi^2 and their logs fall in the class of 0."""
+def _check_residue_field(ctx: Context, rng, tables) -> CheckResult:
+    """The cosets are counted on the units u = 1 + a1*pi: the u - 1 fill p
+    classes mod pi^2 and their logs fall in the class of 0."""
     p = ctx.p
-    _require(p, cap)
     units = [PiElement._make((1, a1) + (0,) * (ctx.precision - 2), ctx) for a1 in range(p)]
     m_mod = {(u - 1).digits[:2] for u in units}
     m2_mod = {plog(u).digits[:2] for u in units}
@@ -327,9 +307,7 @@ def _tally(name: str, counts: dict[str, int], trials) -> CheckResult:
     return CheckResult(name, failures == 0, {**counts, "failures": failures}, witnesses)
 
 
-def _check_exp_log_roundtrip(ctx: Context, rng: random.Random, cap: int) -> CheckResult:
-    _require(ctx.precision**2, cap)
-
+def _check_exp_log_roundtrip(ctx: Context, rng: random.Random, tables) -> CheckResult:
     def trial():
         u = _random_element(rng, ctx, (1, 0))
         x = _random_element(rng, ctx, (0, 0))
@@ -341,9 +319,7 @@ def _check_exp_log_roundtrip(ctx: Context, rng: random.Random, cap: int) -> Chec
     return _tally("exp_log_roundtrip", {"samples": samples}, (trial() for _ in range(samples)))
 
 
-def _check_log_homomorphism(ctx: Context, rng: random.Random, cap: int) -> CheckResult:
-    _require(ctx.precision**2, cap)
-
+def _check_log_homomorphism(ctx: Context, rng: random.Random, tables) -> CheckResult:
     def trial():
         u, v = _random_element(rng, ctx, (1,)), _random_element(rng, ctx, (1,))
         return plog(u * v) == plog(u) + plog(v), (u, v)
@@ -352,9 +328,8 @@ def _check_log_homomorphism(ctx: Context, rng: random.Random, cap: int) -> Check
     return _tally("log_homomorphism", {"samples": samples}, (trial() for _ in range(samples)))
 
 
-def _check_digit2_formula(ctx: Context, rng: random.Random, cap: int) -> CheckResult:
+def _check_digit2_formula(ctx: Context, rng: random.Random, tables) -> CheckResult:
     p = ctx.p
-    _require(p * p, cap)
 
     def trial(a1, a2):
         u = _random_element(rng, ctx, (1, a1, a2))
@@ -368,11 +343,9 @@ def _check_digit2_formula(ctx: Context, rng: random.Random, cap: int) -> CheckRe
     return _tally("digit2_formula", {"samples": min(p * p, _DIGIT2_PAIRS)}, trials)
 
 
-def _check_lift_independence(ctx: Context, rng: random.Random, cap: int) -> CheckResult:
+def _check_lift_independence(ctx: Context, rng: random.Random, tables) -> CheckResult:
     samples = 20
-    lifted_prec = 2 * ctx.precision
-    _require(lifted_prec**2, cap)
-    lifted_ctx = Context(ctx.p, lifted_prec)
+    lifted_ctx = Context(ctx.p, 2 * ctx.precision)
 
     def trial():
         u = _random_element(rng, ctx, (1,))
@@ -382,10 +355,9 @@ def _check_lift_independence(ctx: Context, rng: random.Random, cap: int) -> Chec
     return _tally("lift_independence", {"samples": samples}, (trial() for _ in range(samples)))
 
 
-def _check_preimage_soundness(ctx: Context, rng: random.Random, cap: int) -> CheckResult:
+def _check_preimage_soundness(ctx: Context, rng: random.Random, tables) -> CheckResult:
     samples = 20
     p = ctx.p
-    _require(samples * (p - 1), cap)
 
     def trial():
         y = _random_element(rng, ctx, (0, 0))
@@ -397,13 +369,10 @@ def _check_preimage_soundness(ctx: Context, rng: random.Random, cap: int) -> Che
     return _tally("preimage_soundness", counts, (trial() for _ in range(samples)))
 
 
-def _check_preimage_in_fiber(
-    ctx: Context, rng: random.Random, cap: int, tables: _HeadTables
-) -> CheckResult:
+def _check_preimage_in_fiber(ctx: Context, rng: random.Random, tables: _HeadTables) -> CheckResult:
     """The constructed preimages of y are its whole fiber: as many distinct
     units as the annulus prefixes give y, each in the annulus with plog y."""
     samples = 30
-    _require(_enumeration_count(ctx.p - 1, ctx.p, ctx.precision - 2, cap), cap)
     depth, fibers = _fibers(ctx.p, tables.annulus)
 
     def trial():
@@ -416,7 +385,7 @@ def _check_preimage_in_fiber(
     return _tally("preimage_matches_fiber", {"targets": samples}, (trial() for _ in range(samples)))
 
 
-def _check_roots_of_unity(ctx: Context, cap: int) -> CheckResult:
+def _check_roots_of_unity(ctx: Context, rng, tables) -> CheckResult:
     """The p - 1 roots and 1 form a group G of order p, certified by its
     generator z = roots[0]: z^p = 1, z != 1, and z*g lies in G for every g in
     G.  There must be p - 1 roots, so |G| <= p.  As p is prime, z has order
@@ -426,7 +395,6 @@ def _check_roots_of_unity(ctx: Context, cap: int) -> CheckResult:
     every root, at one power instead of p - 1; only a failing report's
     failure count can differ."""
     p = ctx.p
-    _require(p, cap)
     roots = roots_of_unity(ctx)
     one = ctx.one()
     group = {r.digits for r in roots} | {one.digits}
@@ -440,9 +408,8 @@ def _check_roots_of_unity(ctx: Context, cap: int) -> CheckResult:
     return _tally("roots_of_unity", {"roots": len(roots), "group_order": len(group)}, trials)
 
 
-def _check_qr_branch_count(ctx: Context, cap: int) -> CheckResult:
+def _check_qr_branch_count(ctx: Context, rng, tables) -> CheckResult:
     p = ctx.p
-    _require(p * p, cap)
 
     def trial(y2):
         pairs = qr_pair_enumeration(y2, ctx)
@@ -454,6 +421,67 @@ def _check_qr_branch_count(ctx: Context, cap: int) -> CheckResult:
     return _tally("qr_branch_count", {"y2_values": p}, (trial(y2) for y2 in range(p)))
 
 
+def _annulus_units(ctx: Context, cap: int) -> int:
+    return _enumeration_count(ctx.p - 1, ctx.p, ctx.precision - 2, cap)
+
+
+def _square_units(ctx: Context, cap: int) -> int:
+    return _enumeration_count(1, ctx.p, ctx.precision - 2, cap)
+
+
+# report name -> (charge(ctx, cap), run(ctx, rng, tables)), in report order
+_CHECKS = {
+    "annulus_image": (_annulus_units, _check_annulus_image),
+    "square_isomorphism": (_square_units, _check_square_iso),
+    "full_image_and_index": (
+        lambda ctx, cap: _annulus_units(ctx, cap) + _square_units(ctx, cap),
+        _check_full_image_and_index,
+    ),
+    "residue_field": (lambda ctx, cap: ctx.p, _check_residue_field),
+    "exp_log_roundtrip": (lambda ctx, cap: ctx.precision**2, _check_exp_log_roundtrip),
+    "log_homomorphism": (lambda ctx, cap: ctx.precision**2, _check_log_homomorphism),
+    "digit2_formula": (lambda ctx, cap: ctx.p**2, _check_digit2_formula),
+    "lift_independence": (lambda ctx, cap: (2 * ctx.precision) ** 2, _check_lift_independence),
+    "preimage_soundness": (lambda ctx, cap: 20 * (ctx.p - 1), _check_preimage_soundness),
+    "preimage_matches_fiber": (_annulus_units, _check_preimage_in_fiber),
+    "roots_of_unity": (lambda ctx, cap: ctx.p, _check_roots_of_unity),
+    "qr_branch_count": (lambda ctx, cap: ctx.p**2, _check_qr_branch_count),
+}
+
+
+def _checked(name: str, ctx: Context, cap: int, tables: _HeadTables | None, rng) -> CheckResult:
+    """Charge the check `name` to the cap, then run it; the only place a check meets the cap."""
+    charge, run = _CHECKS[name]
+    _require(charge(ctx, cap), cap)
+    return run(ctx, rng, _HeadTables(ctx) if tables is None else tables)
+
+
+def check_annulus_image(
+    ctx: Context, cap: int = DEFAULT_CAP, tables: _HeadTables | None = None
+) -> CheckResult:
+    """Logs of all units with nonzero digit 1 cover m_K^2 exactly, in fibers of p-1."""
+    return _checked("annulus_image", ctx, cap, tables, None)
+
+
+def check_square_iso(
+    ctx: Context, cap: int = DEFAULT_CAP, tables: _HeadTables | None = None
+) -> CheckResult:
+    """plog restricted to 1 + m_K^2 is a bijection onto m_K^2 inverted by pexp."""
+    return _checked("square_isomorphism", ctx, cap, tables, None)
+
+
+def check_full_image_and_index(
+    ctx: Context, cap: int = DEFAULT_CAP, tables: _HeadTables | None = None
+) -> CheckResult:
+    """log(1 + m_K) fills m_K^2, which sits at index exactly p inside m_K."""
+    return _checked("full_image_and_index", ctx, cap, tables, None)
+
+
+def check_residue_field(ctx: Context, cap: int = DEFAULT_CAP) -> CheckResult:
+    """m_K / m_K^2 has exactly p cosets."""
+    return _checked("residue_field", ctx, cap, None, None)
+
+
 def run_all(ctx: Context, seed: int = 0, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Run every check plus the seeded property suites; deterministic for a
     given (p, precision, seed).  Each check gets its own random stream, seeded
@@ -462,33 +490,14 @@ def run_all(ctx: Context, seed: int = 0, cap: int = DEFAULT_CAP) -> Verification
     seed = operator.index(seed)
     report = VerificationReport(ctx.p, ctx.precision)
     tables = _HeadTables(ctx)
-    jobs = {
-        "annulus_image": lambda rng: check_annulus_image(ctx, cap, tables),
-        "square_isomorphism": lambda rng: check_square_iso(ctx, cap, tables),
-        "full_image_and_index": lambda rng: check_full_image_and_index(ctx, cap, tables),
-        "residue_field": lambda rng: check_residue_field(ctx, cap),
-        "exp_log_roundtrip": lambda rng: _check_exp_log_roundtrip(ctx, rng, cap),
-        "log_homomorphism": lambda rng: _check_log_homomorphism(ctx, rng, cap),
-        "digit2_formula": lambda rng: _check_digit2_formula(ctx, rng, cap),
-        "lift_independence": lambda rng: _check_lift_independence(ctx, rng, cap),
-        "preimage_soundness": lambda rng: _check_preimage_soundness(ctx, rng, cap),
-        "preimage_matches_fiber": lambda rng: _check_preimage_in_fiber(ctx, rng, cap, tables),
-        "roots_of_unity": lambda rng: _check_roots_of_unity(ctx, cap),
-        "qr_branch_count": lambda rng: _check_qr_branch_count(ctx, cap),
-    }
-    for name, job in jobs.items():
+    for name in _CHECKS:
         try:
-            report.checks.append(job(random.Random(f"{seed}:{name}")))
+            result = _checked(name, ctx, cap, tables, random.Random(f"{seed}:{name}"))
         except CapExceeded as exc:
-            report.checks.append(
-                CheckResult(
-                    name,
-                    False,
-                    {"skipped": 1, "required": exc.required, "cap": exc.cap},
-                    [f"skipped: {exc}"],
-                )
-            )
+            counts = {"skipped": 1, "required": exc.required, "cap": exc.cap}
+            result = CheckResult(name, False, counts, [f"skipped: {exc}"])
         except CyclologError as exc:
             witness = f"error: {type(exc).__name__}: {exc}"
-            report.checks.append(CheckResult(name, False, {"error": 1}, [witness]))
+            result = CheckResult(name, False, {"error": 1}, [witness])
+        report.checks.append(result)
     return report

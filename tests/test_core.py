@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import operator
 import pickle
 import random
@@ -487,6 +488,23 @@ class TestPublicSurface:
         for name in lazy:
             assert getattr(cyclolog, name) is getattr(verify, name)
             assert name not in vars(cyclolog)
+
+    def test_verifier_signatures_are_unchanged(self):
+        exhaustive = (
+            "(ctx: 'Context', cap: 'int' = 10000000, tables: '_HeadTables | None' = None)"
+            " -> 'CheckResult'"
+        )
+        expected = {
+            "check_annulus_image": exhaustive,
+            "check_square_iso": exhaustive,
+            "check_full_image_and_index": exhaustive,
+            "check_residue_field": "(ctx: 'Context', cap: 'int' = 10000000) -> 'CheckResult'",
+            "run_all": (
+                "(ctx: 'Context', seed: 'int' = 0, cap: 'int' = 10000000) -> 'VerificationReport'"
+            ),
+        }
+        for name, signature in expected.items():
+            assert str(inspect.signature(getattr(cyclolog, name))) == signature, name
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):

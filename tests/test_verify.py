@@ -181,6 +181,23 @@ class TestRunAll:
         assert skipped["lift_independence"] == 64 and skipped["preimage_soundness"] == 4200
         assert skipped["exp_log_roundtrip"] == skipped["log_homomorphism"] == 16
 
+    def test_every_check_charges_before_it_does_any_work(self, monkeypatch):
+        def no_work(*args):
+            pytest.fail("a check worked before the cap was charged")
+
+        for name in (
+            "plog", "pexp", "preimage_all", "roots_of_unity", "qr_pair_enumeration", "_head_table",
+            "log_digit_formula", "digit2_for_branch", "_random_element", "Context",
+        ):
+            monkeypatch.setattr(verify, name, no_work)
+        p, n = 211, 4
+        report = run_all(Context(p, n), seed=0, cap=1)
+        assert all(c.counts["skipped"] == 1 and c.counts["cap"] == 1 for c in report.checks)
+        assert [c.counts["required"] for c in report.checks] == [
+            (p - 1) * p ** (n - 2), p ** (n - 2), p ** (n - 1), p, n * n, n * n,
+            p * p, (2 * n) ** 2, 20 * (p - 1), (p - 1) * p ** (n - 2), p, p * p,
+        ]
+
     def test_cap_bounds_the_sampled_checks_that_grow_with_n(self):
         # 80 plogs at N = 720 take minutes, so these two checks charge N^2
         checks = {c.name: c for c in run_all(Context(3, 16), seed=0, cap=100).checks}
@@ -202,9 +219,8 @@ class TestRunAll:
         assert 10**18 < verify._enumeration_count(2, 3, 9100, 1) < 3 * 10**18
 
     def test_digit2_formula_samples_pairs_past_4096(self):
-        result = verify._check_digit2_formula(
-            Context(1009, 4), random.Random("0:digit2_formula"), verify.DEFAULT_CAP
-        )
+        rng = random.Random("0:digit2_formula")
+        result = verify._checked("digit2_formula", Context(1009, 4), verify.DEFAULT_CAP, None, rng)
         assert result.passed and result.counts == {"samples": 4096, "failures": 0}
 
     def test_digit2_formula_sampling_catches_a_wrong_digit(self, monkeypatch):
@@ -214,9 +230,8 @@ class TestRunAll:
             return (real(a1, a2, ctx) + (a1 == 5)) % ctx.p
 
         monkeypatch.setattr(verify, "log_digit_formula", wrong_for_a1_5)
-        result = verify._check_digit2_formula(
-            Context(1009, 4), random.Random("0:digit2_formula"), verify.DEFAULT_CAP
-        )
+        rng = random.Random("0:digit2_formula")
+        result = verify._checked("digit2_formula", Context(1009, 4), verify.DEFAULT_CAP, None, rng)
         assert not result.passed and result.counts["samples"] == 4096
         assert 0 < result.counts["failures"] < 4096
 
@@ -231,9 +246,8 @@ class TestRunAll:
         monkeypatch.setattr(
             verify, "plog", lambda u: real(u) + u.ctx.uniformizer() if u.digits[1] == 0 else real(u)
         )
-        result = verify._check_exp_log_roundtrip(
-            Context(5, 5), random.Random("0:exp_log_roundtrip"), verify.DEFAULT_CAP
-        )
+        rng = random.Random("0:exp_log_roundtrip")
+        result = verify._checked("exp_log_roundtrip", Context(5, 5), verify.DEFAULT_CAP, None, rng)
         assert not result.passed
         assert result.counts == {"samples": 40, "failures": 40}
         assert len(result.witnesses) == 5
@@ -393,7 +407,9 @@ class TestSharedTables:
     def test_run_all_matches_standalone_checks(self, p, n):
         ctx = Context(p, n)
         in_run = {c.name: c.to_dict() for c in run_all(ctx, seed=0).checks}
-        for check in (check_annulus_image, check_square_iso, check_full_image_and_index):
+        for check in (
+            check_annulus_image, check_square_iso, check_full_image_and_index, check_residue_field
+        ):
             alone = check(ctx).to_dict()
             assert in_run[alone["name"]] == alone
 
@@ -414,20 +430,21 @@ class TestSharedTables:
             assert check(tables.ctx, tables=tables).passed
         assert sorted(built) == [(0,), (1, 2, 3, 4)]
 
-    def test_run_all_calls_each_public_check_with_its_tables(self, monkeypatch):
-        # the names run_all looks up are the ones a tracer or a test wraps
+    def test_run_all_hands_each_table_run_one_set_of_head_rows(self, monkeypatch):
         calls = {}
-        for name in ("check_annulus_image", "check_square_iso", "check_full_image_and_index"):
-            real = getattr(verify, name)
+        for name, (charge, run) in verify._CHECKS.items():
 
-            def recording(ctx, cap, tables, real=real, name=name):
+            def recording(ctx, rng, tables, run=run, name=name):
                 calls.setdefault(name, []).append(tables)
-                return real(ctx, cap, tables)
+                return run(ctx, rng, tables)
 
-            monkeypatch.setattr(verify, name, recording)
+            monkeypatch.setitem(verify._CHECKS, name, (charge, recording))
         assert run_all(Context(3, 6), seed=0).all_passed
-        shared = [tables for recorded in calls.values() for tables in recorded]
-        assert len(calls) == len(shared) == 3
+        assert list(calls) == list(verify._CHECKS)
+        exhaustive = ("annulus_image", "square_isomorphism", "full_image_and_index")
+        shared = [tables for name in exhaustive for tables in calls[name]]
+        shared += calls["preimage_matches_fiber"]
+        assert len(shared) == 4
         assert isinstance(shared[0], verify._HeadTables)
         assert all(tables is shared[0] for tables in shared)
 
@@ -689,7 +706,8 @@ class TestHeadLevelChecks:
             assert _outcome(check, ctx, verify.DEFAULT_CAP, heads) == _outcome(reference, ctx, tables)
         stream = "0:preimage_matches_fiber"
         fiber = _outcome(
-            verify._check_preimage_in_fiber, ctx, random.Random(stream), verify.DEFAULT_CAP, heads
+            verify._checked, "preimage_matches_fiber", ctx, verify.DEFAULT_CAP, heads,
+            random.Random(stream),
         )
         assert fiber == _outcome(oracle_tables.preimage_matches_fiber, ctx, random.Random(stream), tables)
         return fiber
@@ -817,7 +835,7 @@ class TestWitnessCap:
             return [ctx.one() + ctx.uniformizer()] * (ctx.p - 1)
 
         monkeypatch.setattr(verify, "roots_of_unity", copies)
-        result = verify._check_roots_of_unity(Context(7, 4), verify.DEFAULT_CAP)
+        result = verify._checked("roots_of_unity", Context(7, 4), verify.DEFAULT_CAP, None, None)
         assert not result.passed and result.counts["failures"] == 6
         assert len(result.witnesses) == 5
 
@@ -833,7 +851,7 @@ class TestRootsCertificate:
     @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 4), (11, 4)])
     def test_real_roots_agree_with_pairwise(self, p, n):
         ctx = Context(p, n)
-        result = verify._check_roots_of_unity(ctx, verify.DEFAULT_CAP)
+        result = verify._checked("roots_of_unity", ctx, verify.DEFAULT_CAP, None, None)
         assert result.passed and result.counts["group_order"] == p
         assert _pairwise_roots_failures(verify.roots_of_unity(ctx), ctx) == 0
 
@@ -843,7 +861,7 @@ class TestRootsCertificate:
         roots = verify.roots_of_unity(ctx)
         broken = roots[:-1] + [roots[0]]  # p - 1 true roots of unity, one twice
         monkeypatch.setattr(verify, "roots_of_unity", lambda ctx: broken)
-        result = verify._check_roots_of_unity(ctx, verify.DEFAULT_CAP)
+        result = verify._checked("roots_of_unity", ctx, verify.DEFAULT_CAP, None, None)
         assert not result.passed and result.counts["group_order"] == p - 1
         assert _pairwise_roots_failures(broken, ctx) > 0
 
@@ -854,10 +872,10 @@ class TestRootsCertificate:
         top = ctx.uniformizer().mul_pi_power(n - 2)
         broken = roots[:-1] + [roots[-1] + top]  # distinct, but not a group
         monkeypatch.setattr(verify, "roots_of_unity", lambda ctx: broken)
-        result = verify._check_roots_of_unity(ctx, verify.DEFAULT_CAP)
+        result = verify._checked("roots_of_unity", ctx, verify.DEFAULT_CAP, None, None)
         assert not result.passed
         assert _pairwise_roots_failures(broken, ctx) > 0
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            verify._check_roots_of_unity(Context(7, 4), cap=6)
+            verify._checked("roots_of_unity", Context(7, 4), 6, None, None)
